@@ -29,7 +29,7 @@ from scipy.sparse import csgraph
 
 from .errors import CapacityError, ParseError, PreconditionError, SolverError
 from .graphs import Graph, is_connected
-from .rules import RuleSet, evaluate
+from .rules import RuleSet, evaluate, mask_ops
 
 MAX_CLASSES_N = 24  # analyze / class partition
 MAX_SOLVE_N = 16  # absorption probabilities and CSV tables
@@ -123,12 +123,10 @@ class ChainAnalysis:
 
     def classes(self) -> tuple[frozenset[int], ...]:
         """The class partition as frozensets, sorted by smallest member."""
-        groups: dict[int, list[int]] = {}
-        for s, lab in enumerate(self.class_of):
-            groups.setdefault(int(lab), []).append(s)
-        parts = [frozenset(members) for members in groups.values()]
-        parts.sort(key=min)
-        return tuple(parts)
+        order = np.argsort(self.class_of, kind="stable")
+        parts = np.split(order, np.cumsum(np.bincount(self.class_of))[:-1])
+        parts.sort(key=lambda members: members[0])
+        return tuple(frozenset(members.tolist()) for members in parts)
 
 
 def step_pair(s: int, edge: tuple[int, int], op_i: int, op_j: int) -> int:
@@ -152,81 +150,59 @@ def step_pair(s: int, edge: tuple[int, int], op_i: int, op_j: int) -> int:
     return cleared | new_i << (i - 1) | new_j << (j - 1)
 
 
-def _can_table(op_set) -> np.ndarray:
-    """can[a, b, v]: some operator in the set maps the ordered pair (a,b) to v."""
-    can = np.zeros((2, 2, 2), dtype=bool)
-    for k in op_set:
-        for a in (0, 1):
-            for b in (0, 1):
-                can[a, b, evaluate(k, a, b)] = True
-    return can
+# _PAIR_STEP[k, l, c]: the outcome of step_pair on one edge in code
+# c = (bit of i) | (bit of j) << 1 when i draws k and j draws l.
+_PAIR_STEP = np.array(
+    [
+        [[step_pair(c, (1, 2), k, l) for c in range(4)] for l in range(16)]
+        for k in range(16)
+    ],
+    dtype=np.uint8,
+)
 
 
-def _pair_flip_table(op_set) -> np.ndarray:
-    """pair_flip[a, b]: one operator alone flips both sides of an (a,b) edge.
-
-    Only these double flips survive the void rule, because equal draws are
-    exempt from it.
-    """
-    pair_flip = np.zeros((2, 2), dtype=bool)
-    for k in op_set:
-        for a in (0, 1):
-            for b in (0, 1):
-                if evaluate(k, a, b) != a and evaluate(k, b, a) != b:
-                    pair_flip[a, b] = True
-    return pair_flip
+def _reach(op_set) -> np.ndarray:
+    """reach[c, c']: some draw pair from op_set moves edge code c to c' != c."""
+    ops = sorted(op_set)
+    outcomes = _PAIR_STEP[np.ix_(ops, ops)].reshape(-1, 4)
+    reach = np.zeros((4, 4), dtype=bool)
+    reach[np.arange(4), outcomes] = True
+    np.fill_diagonal(reach, False)
+    return reach
 
 
-def _support(g: Graph, can: np.ndarray, pair_flip: np.ndarray):
+def _support(g: Graph, reach: np.ndarray):
     """Exact positive-probability support of the chain.
 
-    Returns (arc keys, absorbing mask): keys is a sorted unique uint64 array
-    of src << n | dst pairs with src != dst; the mask flags states whose
-    every achievable update is the identity. Per edge a state has at most
-    three successors: flip the smaller endpoint (some draw flips it while
-    some draw holds the other), flip the larger endpoint, or flip both via
-    a single operator.
+    Returns (src, dst, absorbing mask): one int32 arc src -> dst != src per
+    edge and reachable non-identity edge outcome, so an arc reached through
+    several edges appears several times; the mask flags states whose every
+    achievable update is the identity.
     """
-    n = g.n
-    size = 1 << n
-    states = np.arange(size, dtype=np.uint32)
+    size = 1 << g.n
+    states = np.arange(size, dtype=np.int32)
     absorbing = np.ones(size, dtype=bool)
-    chunks = []
+    src, dst = [], []
     for i, j in g.edges:
-        bi = (states >> np.uint32(i - 1)) & np.uint32(1)
-        bj = (states >> np.uint32(j - 1)) & np.uint32(1)
-        arcs = (
-            (can[bi, bj, 1 - bi] & can[bj, bi, bj], 1 << (i - 1)),
-            (can[bi, bj, bi] & can[bj, bi, 1 - bj], 1 << (j - 1)),
-            (pair_flip[bi, bj], (1 << (i - 1)) | (1 << (j - 1))),
-        )
-        per_edge = []
-        for valid, flip in arcs:
-            if not valid.any():
-                continue
+        code = (states >> (i - 1) & 1) | (states >> (j - 1) & 1) << 1
+        for flip in (1, 2, 3):  # the code bits that change: i, j or both
+            valid = reach[code, code ^ flip]
             absorbing &= ~valid
-            src = states[valid].astype(np.uint64)
-            dst = (states[valid] ^ np.uint32(flip)).astype(np.uint64)
-            per_edge.append(src << np.uint64(n) | dst)
-        if per_edge:
-            chunks.append(np.unique(np.concatenate(per_edge)))
-    if chunks:
-        keys = np.unique(np.concatenate(chunks))
-    else:
-        keys = np.empty(0, dtype=np.uint64)
-    return keys, absorbing
+            moved = states[valid]
+            src.append(moved)
+            dst.append(moved ^ ((flip & 1) << (i - 1) | (flip >> 1) << (j - 1)))
+    return np.concatenate(src), np.concatenate(dst), absorbing
 
 
-def _analyze_support(
-    g: Graph, can: np.ndarray, pair_flip: np.ndarray
-) -> ChainAnalysis:
+def _analyze_support(g: Graph, reach: np.ndarray) -> ChainAnalysis:
     n = g.n
     size = 1 << n
-    keys, absorbing = _support(g, can, pair_flip)
-    src = (keys >> np.uint64(n)).astype(np.int64)
-    dst = (keys & np.uint64(size - 1)).astype(np.int64)
+    src, dst, absorbing = _support(g, reach)
+    # The COO-to-CSR conversion merges repeated arcs. csgraph needs that: on
+    # rows that hold a target twice its strong-component pass can loop
+    # forever or miscount.
     adj = sparse.csr_matrix(
-        (np.ones(len(src), dtype=np.int8), (src, dst)), shape=(size, size)
+        (np.ones(len(src), dtype=bool), (src, dst)), shape=(size, size)
     )
     class_count, labels = csgraph.connected_components(
         adj, directed=True, connection="strong"
@@ -234,24 +210,19 @@ def _analyze_support(
     comp_src = labels[src]
     comp_dst = labels[dst]
     cross = comp_src != comp_dst
+    dag_src = comp_src[cross]
+    dag_dst = comp_dst[cross]
     closed = np.ones(class_count, dtype=bool)
-    closed[np.unique(comp_src[cross])] = False
+    closed[dag_src] = False
     transient = ~closed[labels]
 
     reaches = np.zeros(class_count, dtype=bool)
     reaches[labels[absorbing]] = True
-    if reaches.any() and cross.any():
-        dag = np.unique(
-            comp_src[cross].astype(np.uint64) * np.uint64(class_count)
-            + comp_dst[cross].astype(np.uint64)
-        )
-        dag_src = (dag // class_count).astype(np.int64)
-        dag_dst = (dag % class_count).astype(np.int64)
-        while True:
-            grow = reaches[dag_dst] & ~reaches[dag_src]
-            if not grow.any():
-                break
-            reaches[dag_src[grow]] = True
+    while True:
+        grow = reaches[dag_dst] & ~reaches[dag_src]
+        if not grow.any():
+            break
+        reaches[dag_src[grow]] = True
     is_absorbing_chain = bool(absorbing.any()) and bool(reaches.all())
     return ChainAnalysis(
         n=n,
@@ -273,8 +244,7 @@ def analyze(spec: ChainSpec) -> ChainAnalysis:
     n = spec.graph.n
     if n > MAX_CLASSES_N:
         raise CapacityError(f"n={n} exceeds the analysis cap of {MAX_CLASSES_N}")
-    op_set = spec.rules.op_set
-    return _analyze_support(spec.graph, _can_table(op_set), _pair_flip_table(op_set))
+    return _analyze_support(spec.graph, _reach(spec.rules.op_set))
 
 
 def _lift_exact(values):
@@ -390,57 +360,42 @@ def sweep_absorbing_verdicts(g: Graph) -> np.ndarray:
     """Brute-force absorbing-chain verdict for every nonempty rule set.
 
     Returns a boolean array indexed by the 16-bit rule mask (entry 0 is
-    meaningless). The support digraph of a rule set depends only on which
-    values are achievable per ordered input pair plus whether any single
-    operator swaps an unequal edge, so verdicts are computed once per such
-    signature and fanned out to all 65535 masks.
+    meaningless). The support digraph of a rule set depends only on its
+    reach table (which edge codes some draw pair moves to which others), so
+    verdicts are computed once per distinct table and fanned out to all
+    65535 masks.
     """
     if not is_connected(g):
         raise PreconditionError("interaction graph must be connected")
     if g.n > MAX_SWEEP_N:
         raise CapacityError(f"n={g.n} exceeds the sweep cap of {MAX_SWEEP_N}")
-    masks = np.arange(1 << 16, dtype=np.uint32)
-    # z_mask[a,b] collects ops mapping (a,b) -> 0; o_mask[a,b] the ops -> 1.
-    z_mask = np.zeros((2, 2), dtype=np.uint32)
-    o_mask = np.zeros((2, 2), dtype=np.uint32)
-    swap_mask = np.uint32(0)
+    # word[k, l] packs the moves of the draw pair (k, l) into 16 bits, bit
+    # 4c + c' for c -> c' != c. signature[mask] ORs word over the draw pairs
+    # of the rule set, so it packs the set's _reach table. It is built one
+    # operator k at a time: a mask holding k and a set S of smaller
+    # operators ORs signature[S], word[k, k] and word[k, l] | word[l, k] for
+    # each l in S.
+    codes = np.arange(4)
+    word = np.where(_PAIR_STEP != codes, 1 << (4 * codes + _PAIR_STEP), 0).sum(
+        axis=2, dtype=np.uint16
+    )
+    signature = np.zeros(1, dtype=np.uint16)
     for k in range(16):
-        for a in (0, 1):
-            for b in (0, 1):
-                if evaluate(k, a, b):
-                    o_mask[a, b] |= 1 << k
-                else:
-                    z_mask[a, b] |= 1 << k
-        if evaluate(k, 0, 1) == 1 and evaluate(k, 1, 0) == 0:
-            swap_mask |= np.uint32(1 << k)
-    signature = np.zeros(1 << 16, dtype=np.uint16)
-    bit = 0
-    for a in (0, 1):
-        for b in (0, 1):
-            signature |= ((masks & z_mask[a, b]) != 0).astype(np.uint16) << bit
-            signature |= ((masks & o_mask[a, b]) != 0).astype(np.uint16) << (bit + 1)
-            bit += 2
-    signature |= ((masks & swap_mask) != 0).astype(np.uint16) << 8
-    verdict_by_sig = {}
-    for sig in np.unique(signature[1:]):
-        can = np.zeros((2, 2, 2), dtype=bool)
-        bit = 0
-        for a in (0, 1):
-            for b in (0, 1):
-                can[a, b, 0] = bool(sig >> bit & 1)
-                can[a, b, 1] = bool(sig >> (bit + 1) & 1)
-                bit += 2
-        pair_flip = np.zeros((2, 2), dtype=bool)
-        pair_flip[0, 0] = can[0, 0, 1]
-        pair_flip[1, 1] = can[1, 1, 0]
-        pair_flip[0, 1] = pair_flip[1, 0] = bool(sig >> 8 & 1)
-        verdict_by_sig[int(sig)] = _analyze_support(
-            g, can, pair_flip
-        ).is_absorbing_chain
+        cross = np.zeros(1, dtype=np.uint16)
+        for l in range(k):
+            cross = np.concatenate([cross, cross | word[k, l] | word[l, k]])
+        signature = np.concatenate([signature, signature | word[k, k] | cross])
+    _, first, inverse = np.unique(
+        signature[1:], return_index=True, return_inverse=True
+    )
+    verdict_by_sig = np.array(
+        [
+            _analyze_support(g, _reach(mask_ops(int(mask)))).is_absorbing_chain
+            for mask in first + 1
+        ]
+    )
     verdicts = np.zeros(1 << 16, dtype=bool)
-    for sig, verdict in verdict_by_sig.items():
-        verdicts[signature == sig] = verdict
-    verdicts[0] = False
+    verdicts[1:] = verdict_by_sig[inverse]
     return verdicts
 
 
@@ -450,8 +405,7 @@ def export_dot(spec: ChainSpec, analysis: ChainAnalysis) -> str:
     n = spec.graph.n
     if n > MAX_DOT_N:
         raise CapacityError(f"n={n} exceeds the diagram cap of {MAX_DOT_N}")
-    op_set = spec.rules.op_set
-    keys, _ = _support(spec.graph, _can_table(op_set), _pair_flip_table(op_set))
+    src, dst, _ = _support(spec.graph, _reach(spec.rules.op_set))
     size = 1 << n
     lines = ["digraph chain {", "  node [style=filled];"]
     for s in range(size):
@@ -460,12 +414,8 @@ def export_dot(spec: ChainSpec, analysis: ChainAnalysis) -> str:
         color = f"{hue:.3f} 0.400 0.950"
         shape = ' shape=doublecircle' if analysis.absorbing[s] else ""
         lines.append(f'  "{label}" [fillcolor="{color}"{shape}];')
-    for key in keys:
-        src = int(key) >> n
-        dst = int(key) & (size - 1)
-        lines.append(
-            f'  "{format_state(src, n)}" -> "{format_state(dst, n)}";'
-        )
+    for s, t in sorted(set(zip(src.tolist(), dst.tolist()))):
+        lines.append(f'  "{format_state(s, n)}" -> "{format_state(t, n)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

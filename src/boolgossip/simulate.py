@@ -3,8 +3,8 @@
 Each replication round draws an initial state (fixed, or i.i.d. Bernoulli
 per node), then repeatedly selects an edge by the edge weights and two
 operators i.i.d. from the rule set (smaller-indexed endpoint first) and
-applies the simultaneous pair update, matching chain.step_pair exactly:
-differing draws that would flip both endpoints are void.
+applies the simultaneous pair update by looking it up in the edge-outcome
+table that chain builds from chain.step_pair, void rule included.
 
 All randomness is counter-addressed: the draws for round r at step t are a
 pure function of (seed, r, t), so results are bit-identical under any
@@ -21,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .absorbing import absorbing_rows
-from .chain import ChainSpec
+from .chain import _PAIR_STEP, ChainSpec
 from .errors import PreconditionError
 from .meanfield import KIND_EMPIRICAL, DensityTrajectory
 from .philox import block, uniforms
-from .rules import evaluate
 
 TAG_INIT = 0
 TAG_STEP = 1
@@ -79,23 +78,9 @@ class SimResult:
     consensus_fraction: float
 
 
-def _op_table() -> np.ndarray:
-    table = np.zeros((16, 2, 2), dtype=np.uint8)
-    for k in range(16):
-        for a in (0, 1):
-            for b in (0, 1):
-                table[k, a, b] = evaluate(k, a, b)
-    return table
-
-
 def _pack_rows(rows: np.ndarray) -> list[int]:
-    words = []
-    for row in rows:
-        word = 0
-        for idx in np.nonzero(row)[0]:
-            word |= 1 << int(idx)
-        words.append(word)
-    return words
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _initial_states(config: SimConfig) -> np.ndarray:
@@ -123,7 +108,7 @@ def run(config: SimConfig) -> SimResult:
     n = g.n
     rounds = config.rounds
     op_set = spec.rules.op_set
-    table = _op_table()
+    pair_step = _PAIR_STEP.reshape(256, 4)
     edge_i = np.array([i - 1 for i, _ in g.edges], dtype=np.int64)
     edge_j = np.array([j - 1 for _, j in g.edges], dtype=np.int64)
     cum_w = np.cumsum([float(w) for w in spec.edge_weights])
@@ -140,6 +125,11 @@ def run(config: SimConfig) -> SimResult:
     absorption_counts: dict[int, int] = {}
     consensus = 0
     full = (1 << n) - 1
+
+    def pick(cum, words):
+        return np.minimum(
+            np.searchsorted(cum, uniforms(words), side="right"), len(cum) - 1
+        )
 
     def retire_absorbed():
         nonlocal alive, consensus
@@ -162,35 +152,18 @@ def run(config: SimConfig) -> SimResult:
             minor = np.tile(np.arange(t0, t1, dtype=np.uint64), len(alive))
             w0, w1, w2, _ = block(config.seed, TAG_STEP, major, minor)
             count = len(alive)
-            edge_pick = np.minimum(
-                np.searchsorted(cum_w, uniforms(w0), side="right"),
-                len(cum_w) - 1,
-            ).reshape(count, span)
-            op_i = ops_arr[
-                np.minimum(
-                    np.searchsorted(cum_p, uniforms(w1), side="right"),
-                    len(cum_p) - 1,
-                )
-            ].reshape(count, span)
-            op_j = ops_arr[
-                np.minimum(
-                    np.searchsorted(cum_p, uniforms(w2), side="right"),
-                    len(cum_p) - 1,
-                )
-            ].reshape(count, span)
+            edge_pick = pick(cum_w, w0).reshape(count, span)
+            pair = ops_arr[pick(cum_p, w1)] << 4 | ops_arr[pick(cum_p, w2)]
+            pair = pair.reshape(count, span)
             for k in range(span):
                 eidx = edge_pick[:, k]
                 ni = edge_i[eidx]
                 nj = edge_j[eidx]
                 a = states[alive, ni]
                 b = states[alive, nj]
-                new_a = table[op_i[:, k], a, b]
-                new_b = table[op_j[:, k], b, a]
-                # Differing draws that would flip both endpoints are void.
-                void = (op_i[:, k] != op_j[:, k]) & (new_a != a) & (new_b != b)
-                if void.any():
-                    new_a = np.where(void, a, new_a)
-                    new_b = np.where(void, b, new_b)
+                new = pair_step[pair[:, k], a | b << 1]
+                new_a = new & 1
+                new_b = new >> 1
                 states[alive, ni] = new_a
                 states[alive, nj] = new_b
                 ones[alive] += (new_a.astype(np.int64) - a) + (

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import corpus
@@ -134,15 +135,37 @@ def test_analyze_matches_transition_rows():
         spec = chain.ChainSpec(g, rules.RuleSet(ops))
         analysis = chain.analyze(spec)
         size = 1 << g.n
+        succ = {}
         for s in range(size):
             row = chain.transition_row(spec, s)
             expected_absorbing = row.targets == ((s, 1.0),)
             assert bool(analysis.absorbing[s]) == expected_absorbing
-            for t, _ in row.targets:
+            succ[s] = [t for t, _ in row.targets]
+            for t in succ[s]:
                 if t != s:
                     # Arcs stay inside a class or leave a transient one.
                     same = analysis.class_of[s] == analysis.class_of[t]
                     assert same or analysis.transient[s]
+        # Classes are the SCCs of the row digraph, up to relabelling, and a
+        # state is transient when it reaches a state that cannot come back.
+        reach = {}
+        for s in range(size):
+            seen, stack = {s}, [s]
+            while stack:
+                for t in succ[stack.pop()]:
+                    if t not in seen:
+                        seen.add(t)
+                        stack.append(t)
+            reach[s] = seen
+        for s in range(size):
+            scc = {t for t in reach[s] if s in reach[t]}
+            same_class = set(
+                np.nonzero(analysis.class_of == analysis.class_of[s])[0].tolist()
+            )
+            assert same_class == scc
+            assert bool(analysis.transient[s]) == any(
+                s not in reach[t] for t in reach[s]
+            )
 
 
 def test_analyze_classes_partition():
@@ -242,6 +265,35 @@ def test_export_dot_color_counts():
     colors = {line.split('fillcolor="')[1].split('"')[0] for line in node_lines}
     assert len(node_lines) == 16
     assert len(colors) == 3
+
+
+def test_export_dot_double_flip_arcs():
+    # Recorded text: XOR on a path flips both ends of a 1-1 edge at once.
+    spec = chain.ChainSpec(graphs.make("line", 3), rules.RuleSet((rules.OP_XOR,)))
+    text = chain.export_dot(spec, chain.analyze(spec))
+    assert text == """digraph chain {
+  node [style=filled];
+  "000" [fillcolor="0.000 0.400 0.950" shape=doublecircle];
+  "100" [fillcolor="0.618 0.400 0.950"];
+  "010" [fillcolor="0.236 0.400 0.950"];
+  "110" [fillcolor="0.618 0.400 0.950"];
+  "001" [fillcolor="0.618 0.400 0.950"];
+  "101" [fillcolor="0.854 0.400 0.950"];
+  "011" [fillcolor="0.618 0.400 0.950"];
+  "111" [fillcolor="0.618 0.400 0.950"];
+  "100" -> "110";
+  "010" -> "110";
+  "010" -> "011";
+  "110" -> "000";
+  "110" -> "111";
+  "001" -> "011";
+  "101" -> "111";
+  "011" -> "000";
+  "011" -> "111";
+  "111" -> "100";
+  "111" -> "001";
+}
+"""
 
 
 def test_export_dot_cap():

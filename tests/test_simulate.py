@@ -118,3 +118,29 @@ def test_balanced_start_splits_evenly():
     result = simulate.run(config)
     estimate = result.absorption_counts.get(15, 0) / 10000
     assert abs(estimate - 0.5) <= 0.02
+
+
+def test_seeded_streams_beyond_and_or():
+    # Recorded outputs for rule sets where a single operator flips both
+    # endpoints ({2,B}, {6}) or differing draws hit the void rule ({1,6,7}).
+    # Entries: ops, start kwargs, ones per sample point, absorptions, consensus.
+    g = graphs.make("cycle", 6)
+    rounds = 64
+    starts = (dict(delta0=0.5), dict(start=chain.parse_state("110000", 6)))
+    cases = (
+        ((2, 0xB), 0, (197, 186, 182, 194, 190, 192, 191), {21: 19, 42: 26}, 0.0),
+        ((2, 0xB), 1, (128, 186, 180, 200, 189, 194, 190), {21: 21, 42: 23}, 0.0),
+        ((6,), 0, (197, 131, 78, 46, 35, 22, 12), {0: 59}, 0.921875),
+        ((6,), 1, (128, 92, 46, 34, 26, 23, 12), {0: 59}, 0.921875),
+        ((1, 6, 7), 0, (197, 163, 150, 141, 126, 110, 117), {0: 25}, 0.40625),
+        ((1, 6, 7), 1, (128, 101, 94, 94, 84, 78, 83), {0: 36}, 0.578125),
+    )
+    for ops, which, ones, absorbed, consensus in cases:
+        config = simulate.SimConfig(
+            _spec(g, ops), 48, rounds, seed=21, sample_every=8, **starts[which]
+        )
+        result = simulate.run(config)
+        assert result.density_mean.steps == (0, 8, 16, 24, 32, 40, 48)
+        assert result.density_mean.density == tuple(c / (rounds * 6) for c in ones)
+        assert result.absorption_counts == absorbed
+        assert result.consensus_fraction == consensus
