@@ -49,6 +49,13 @@ _STABLE_FAMILY = {
     StateClass.ONE_PAIR_ONLY: frozenset({OP_FIRST, OP_IMPLIED_BY}),
     StateClass.BOTH_PAIRS: frozenset({OP_FIRST}),
 }
+# The classes told apart by their edge patterns, not by constancy alone.
+_EDGE_CLASSES = (
+    StateClass.PROPER,
+    StateClass.ZERO_PAIR_ONLY,
+    StateClass.ONE_PAIR_ONLY,
+    StateClass.BOTH_PAIRS,
+)
 
 
 def classify_state(g: Graph, s: int) -> StateClass:
@@ -91,7 +98,10 @@ def absorbing_rows(g: Graph, ops, states: np.ndarray) -> np.ndarray:
     """Vectorized closed-form absorbing test over a (rows, n) 0/1 matrix.
 
     Same classification as is_absorbing_state, applied per row; used by the
-    simulator for early exit.
+    simulator for early exit. The edges are scanned only when the rule set
+    freezes one of the four classes defined by edge patterns; otherwise
+    (AND/OR, for one) only the constant rows can be absorbing, and those
+    need no edges.
     """
     ops = frozenset(ops)
     if not ops:
@@ -100,11 +110,12 @@ def absorbing_rows(g: Graph, ops, states: np.ndarray) -> np.ndarray:
     rows = states.shape[0]
     zero_pair = np.zeros(rows, dtype=bool)
     one_pair = np.zeros(rows, dtype=bool)
-    for i, j in g.edges:
-        a = states[:, i - 1]
-        b = states[:, j - 1]
-        zero_pair |= (a == 0) & (b == 0)
-        one_pair |= (a == 1) & (b == 1)
+    if any(ops <= _STABLE_FAMILY[cls] for cls in _EDGE_CLASSES):
+        for i, j in g.edges:
+            a = states[:, i - 1]
+            b = states[:, j - 1]
+            zero_pair |= (a == 0) & (b == 0)
+            one_pair |= (a == 1) & (b == 1)
     any_one = states.any(axis=1)
     all_one = states.all(axis=1)
     out = np.zeros(rows, dtype=bool)

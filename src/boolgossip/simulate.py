@@ -11,11 +11,18 @@ pure function of (seed, r, t), so results are bit-identical under any
 batching or early-exit schedule. Rounds that reach an absorbing state are
 retired early (their density stays frozen, which is what the dynamics
 would do anyway), and absorption is detected at density-sample points, so
-the horizon sample always catches it.
+the horizon sample always catches it. Absorbed rows are tallied by sorting
+their packed bytes, one Python int per distinct absorbed state.
+
+The step draws of a sample interval are made in blocks of a bounded number
+of counters, so memory stays flat however long the interval is. Long runs
+log a progress line at most every ten seconds.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +35,15 @@ from .philox import block, uniforms
 
 TAG_INIT = 0
 TAG_STEP = 1
+
+# Step draws are made in blocks of at most this many counters, about 64 B
+# each while a block is live, so memory does not grow with sample_every.
+# The perfbench intervals (at most 400k counters) fit in one block.
+_DRAW_COUNTERS = 1 << 19
+# Least time between two progress lines (INFO, logger boolgossip.simulate).
+_LOG_SECONDS = 10.0
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -78,9 +94,22 @@ class SimResult:
     consensus_fraction: float
 
 
-def _pack_rows(rows: np.ndarray) -> list[int]:
+def _count_rows(rows: np.ndarray) -> dict[int, int]:
+    """Count the distinct rows of a (rows, n) 0/1 matrix, keyed by state word.
+
+    Rows are packed to bytes and sorted, so each distinct row costs one
+    int.from_bytes call however often it repeats; words stay exact for any n.
+    """
     packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    packed = packed[np.lexsort(packed.T)]
+    starts = np.flatnonzero(
+        np.concatenate(([True], (packed[1:] != packed[:-1]).any(axis=1)))
+    )
+    counts = np.diff(np.append(starts, len(packed)))
+    return {
+        int.from_bytes(packed[i].tobytes(), "little"): int(c)
+        for i, c in zip(starts, counts)
+    }
 
 
 def _initial_states(config: SimConfig) -> np.ndarray:
@@ -137,38 +166,51 @@ def run(config: SimConfig) -> SimResult:
             return
         done = absorbing_rows(g, op_set, states[alive])
         if done.any():
-            for word in _pack_rows(states[alive[done]]):
-                absorption_counts[word] = absorption_counts.get(word, 0) + 1
+            for word, count in _count_rows(states[alive[done]]).items():
+                absorption_counts[word] = absorption_counts.get(word, 0) + count
                 if word == 0 or word == full:
-                    consensus += 1
+                    consensus += count
             alive = alive[~done]
+
+    def advance(t0, t1):
+        w0, w1, w2, _ = block(
+            config.seed,
+            TAG_STEP,
+            alive.astype(np.uint64)[:, None],
+            np.arange(t0, t1, dtype=np.uint64),
+        )
+        edge_pick = pick(cum_w, w0)
+        pair = ops_arr[pick(cum_p, w1)] << 4 | ops_arr[pick(cum_p, w2)]
+        for k in range(t1 - t0):
+            eidx = edge_pick[:, k]
+            ni = edge_i[eidx]
+            nj = edge_j[eidx]
+            a = states[alive, ni]
+            b = states[alive, nj]
+            new = pair_step[pair[:, k], a | b << 1]
+            new_a = new & 1
+            new_b = new >> 1
+            states[alive, ni] = new_a
+            states[alive, nj] = new_b
+            ones[alive] += (new_a.astype(np.int64) - a) + (
+                new_b.astype(np.int64) - b
+            )
 
     densities = [float(ones.sum()) / (rounds * n)]
     retire_absorbed()
+    logged = time.monotonic()
     for t0, t1 in zip(ts, ts[1:]):
-        span = t1 - t0
         if len(alive):
-            major = np.repeat(alive.astype(np.uint64), span)
-            minor = np.tile(np.arange(t0, t1, dtype=np.uint64), len(alive))
-            w0, w1, w2, _ = block(config.seed, TAG_STEP, major, minor)
-            count = len(alive)
-            edge_pick = pick(cum_w, w0).reshape(count, span)
-            pair = ops_arr[pick(cum_p, w1)] << 4 | ops_arr[pick(cum_p, w2)]
-            pair = pair.reshape(count, span)
-            for k in range(span):
-                eidx = edge_pick[:, k]
-                ni = edge_i[eidx]
-                nj = edge_j[eidx]
-                a = states[alive, ni]
-                b = states[alive, nj]
-                new = pair_step[pair[:, k], a | b << 1]
-                new_a = new & 1
-                new_b = new >> 1
-                states[alive, ni] = new_a
-                states[alive, nj] = new_b
-                ones[alive] += (new_a.astype(np.int64) - a) + (
-                    new_b.astype(np.int64) - b
-                )
+            steps = max(1, _DRAW_COUNTERS // len(alive))
+            for s0 in range(t0, t1, steps):
+                s1 = min(s0 + steps, t1)
+                advance(s0, s1)
+                if time.monotonic() - logged >= _LOG_SECONDS:
+                    logged = time.monotonic()
+                    _log.info(
+                        "step %d of %d, %d of %d rounds alive",
+                        s1, config.horizon, len(alive), rounds,
+                    )
         densities.append(float(ones.sum()) / (rounds * n))
         retire_absorbed()
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import types
 
 import numpy as np
 import pytest
@@ -112,6 +113,44 @@ def test_absorbing_rows_matches_scalar(paw):
             assert mask.shape == (size,) and mask.dtype == np.bool_
             for s in range(size):
                 assert bool(mask[s]) == absorbing.is_absorbing_state(g, s, ops)
+
+
+def test_absorbing_rows_constant_only_sets():
+    # Rule sets outside the four edge-pattern families freeze only the
+    # constant rows, and the test must not read the edges for them; the
+    # edge-family sets still scan the edges and freeze non-constant rows.
+    rng = random.Random(43)
+    constant_only = (
+        {rules.OP_AND, rules.OP_OR},
+        {rules.OP_AND},
+        {rules.OP_OR},
+        {rules.OP_FALSE, rules.OP_XOR},  # inside ZERO_STABLE only
+        rules.NEIGHBOR_COPY,
+    )
+    edge_family = (
+        {rules.OP_FIRST},
+        {rules.OP_DIFF},
+        {rules.OP_DIFF, rules.OP_IMPLIED_BY},
+    )
+    no_edges = types.SimpleNamespace(edges=None)  # iterating it raises
+    for g in (graphs.make("complete", 12), graphs.make("star", 9)):
+        full = (1 << g.n) - 1
+        # Constant rows, the star's two proper colourings, a lone one, and
+        # random rows.
+        words = [0, full, 1, full ^ 1, 2] + [rng.randrange(full) for _ in range(200)]
+        rows = np.array(
+            [[(s >> i) & 1 for i in range(g.n)] for s in words], dtype=np.uint8
+        )
+        for ops in constant_only + edge_family:
+            mask = absorbing.absorbing_rows(g, ops, rows)
+            assert mask.tolist() == [
+                absorbing.is_absorbing_state(g, s, ops) for s in words
+            ]
+            if ops in constant_only:
+                assert not mask[2:].any()
+                assert (absorbing.absorbing_rows(no_edges, ops, rows) == mask).all()
+            elif g.n == 9:  # star(9) has proper colourings, complete(12) none
+                assert mask[2:].any()
 
 
 def test_absorbing_set_closed_form_small_graphs():

@@ -21,6 +21,17 @@ def _numpy_words(counter, key):
     return bg.random_raw(4)
 
 
+_U64 = (1 << 64) - 1
+
+
+def _check_against_numpy(counter, key):
+    # numpy increments counter word 0 before generating the block, so word
+    # 0 must not be 0 here (numpy would carry into word 1).
+    expected = _numpy_words(((counter[0] - 1) & _U64, *counter[1:]), key)
+    ours = philox.philox4(*counter, *key)
+    assert [int(w) for w in ours] == [int(w) for w in expected]
+
+
 def test_matches_numpy_philox():
     rng = random.Random(101)
     cases = [((0, 0, 0, 0), (0, 0)), ((1, 2, 3, 4), (5, 6))]
@@ -34,6 +45,63 @@ def test_matches_numpy_philox():
         c0 = (counter[0] + 1) & 0xFFFFFFFFFFFFFFFF
         ours = philox.philox4(c0, counter[1], counter[2], counter[3], *key)
         assert [int(w) for w in ours] == [int(w) for w in expected]
+
+
+def test_carry_words_match_numpy():
+    # All-ones words and all-ones 32-bit limbs drive every carry in the limb
+    # products and the key schedule.
+    edges = (_U64, _U64 - 1, 0xFFFFFFFF, 1 << 32, _U64 ^ 0xFFFFFFFF, 1)
+    for word in edges:
+        _check_against_numpy((word,) * 4, (word, word))
+    rng = random.Random(103)
+    for _ in range(30):
+        counter = tuple(rng.choice(edges + (0,)) for _ in range(4))
+        key = tuple(rng.choice(edges + (0,)) for _ in range(2))
+        _check_against_numpy((counter[0] or 1, *counter[1:]), key)
+
+
+def test_chunked_call_matches_slices():
+    # One call spans several internal chunks and a ragged tail; it must give
+    # what separate calls on slices that straddle the chunk edges give.
+    size = 3 * philox._CHUNK + 7
+    rng = np.random.default_rng(5)
+    c0 = rng.integers(0, _U64, size, dtype=np.uint64, endpoint=True)
+    c3 = rng.integers(0, _U64, size, dtype=np.uint64, endpoint=True)
+    c1 = np.arange(size, dtype=np.uint64)
+    whole = philox.philox4(c0, c1, 9, c3, 11, 13)
+    cuts = [0, 5, philox._CHUNK + 1, 2 * philox._CHUNK - 3, size]
+    parts = [
+        philox.philox4(c0[a:b], c1[a:b], 9, c3[a:b], 11, 13)
+        for a, b in zip(cuts, cuts[1:])
+    ]
+    for k in range(4):
+        assert (whole[k] == np.concatenate([p[k] for p in parts])).all()
+    # 2-D broadcast: rows x steps, as the simulator addresses its draws.
+    rows, steps = 11, size // 11
+    assert rows * steps == size
+    major = np.arange(rows, dtype=np.uint64)[:, None]
+    minor = np.arange(steps, dtype=np.uint64)
+    grid = philox.block(17, 1, major, minor)
+    assert all(w.shape == (rows, steps) for w in grid)
+    for r in range(rows):
+        row = philox.block(17, 1, np.uint64(r), minor)
+        for k in range(4):
+            assert (grid[k][r] == row[k]).all()
+
+
+def test_inputs_left_unchanged():
+    rng = np.random.default_rng(6)
+    size = philox._CHUNK + 3
+    inputs = [rng.integers(0, _U64, size, dtype=np.uint64, endpoint=True) for _ in range(4)]
+    saved = [x.copy() for x in inputs]
+    words = philox.philox4(*inputs, 1, 2)
+    assert all((x == y).all() for x, y in zip(inputs, saved))
+    assert not any(np.shares_memory(w, x) for w in words for x in inputs)
+    major = inputs[0][:, None][:5]
+    minor = inputs[1][:7]
+    saved = major.copy(), minor.copy()
+    philox.block(3, 4, major, minor)
+    assert (major == saved[0]).all() and (minor == saved[1]).all()
 
 
 def test_philox4_broadcasts():

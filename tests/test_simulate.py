@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import collections
+import logging
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from boolgossip import chain, graphs, rules, simulate
@@ -144,3 +148,55 @@ def test_seeded_streams_beyond_and_or():
         assert result.density_mean.density == tuple(c / (rounds * 6) for c in ones)
         assert result.absorption_counts == absorbed
         assert result.consensus_fraction == consensus
+
+
+def test_count_rows_matches_per_row_packing():
+    # Reference: the per-row packing the grouped count replaced.
+    def per_row(rows):
+        packed = np.packbits(rows, axis=1, bitorder="little")
+        return collections.Counter(
+            int.from_bytes(row.tobytes(), "little") for row in packed
+        )
+
+    rng = np.random.default_rng(8)
+    for n in (1, 7, 8, 9, 63, 64, 65, 1000):
+        base = rng.integers(0, 2, (6, n), dtype=np.uint8)
+        base[0] = 0
+        base[1] = 1
+        rows = base[rng.integers(0, len(base), 300)]
+        counts = simulate._count_rows(rows)
+        assert counts == per_row(rows)
+        assert sum(counts.values()) == 300
+
+
+def test_draw_memory_bounded_by_block_size():
+    # One sample interval of 5000 steps x 400 rounds is drawn in blocks, so
+    # the peak does not grow with sample_every; outcomes are unchanged.
+    spec = _spec(graphs.make("complete", 50))
+    base = dict(horizon=5000, rounds=400, seed=3, delta0=0.5)
+    tracemalloc.start()
+    try:
+        single = simulate.run(simulate.SimConfig(spec, **base, sample_every=5000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    default = simulate.run(simulate.SimConfig(spec, **base))
+    assert single.density_mean.steps == (0, 5000)
+    assert single.density_mean.density[-1] == default.density_mean.density[-1]
+    assert single.absorption_counts == default.absorption_counts
+    assert single.consensus_fraction == default.consensus_fraction
+
+
+def test_progress_logging(caplog, monkeypatch):
+    monkeypatch.setattr(simulate, "_LOG_SECONDS", 0.0)
+    config = simulate.SimConfig(
+        _spec(graphs.make("cycle", 12)), 40, 20, seed=5, delta0=0.5, sample_every=8
+    )
+    simulate.run(config)
+    assert not caplog.records  # INFO is below the default level
+    caplog.set_level(logging.INFO, logger="boolgossip.simulate")
+    simulate.run(config)
+    lines = [r.getMessage() for r in caplog.records]
+    assert lines and lines[0].startswith("step 8 of 40, ")
+    assert lines[0].endswith(" of 20 rounds alive")
