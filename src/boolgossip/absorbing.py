@@ -25,6 +25,7 @@ from .rules import (
     OP_DIFF,
     OP_FIRST,
     OP_IMPLIED_BY,
+    PARITY_FAMILIES,
     SPLIT_STABLE,
     ZERO_STABLE,
     is_parity_family,
@@ -49,6 +50,8 @@ _STABLE_FAMILY = {
     StateClass.ONE_PAIR_ONLY: frozenset({OP_FIRST, OP_IMPLIED_BY}),
     StateClass.BOTH_PAIRS: frozenset({OP_FIRST}),
 }
+# One hash lookup in place of is_parity_family's two subset tests.
+_PARITY_SETS = frozenset(PARITY_FAMILIES)
 # The classes told apart by their edge patterns, not by constancy alone.
 _EDGE_CLASSES = (
     StateClass.PROPER,
@@ -150,7 +153,7 @@ def is_absorbing_chain_oracle(g: Graph, ops) -> bool:
         raise ValueError("rule set must be nonempty")
     if not is_connected(g):
         raise PreconditionError("the oracle needs a connected graph")
-    if is_parity_family(ops):
+    if ops in _PARITY_SETS:
         return not has_odd_cycle(g)
     if ops <= NEIGHBOR_COPY:
         return False

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -87,6 +88,52 @@ class ChainSpec:
         if not math.isclose(sum(map(float, weights)), 1.0, abs_tol=WEIGHT_TOL):
             raise ValueError(f"edge weights must sum to 1: {weights}")
         object.__setattr__(self, "edge_weights", weights)
+
+    # Not a dataclass field: it stays out of ==, hash and repr.
+    @cached_property
+    def _steps(self) -> tuple[int | None, tuple]:
+        """(D, per_edge), the one-step outcomes that transition_row sums.
+
+        per_edge[e] = (i - 1, j - 1, outcomes) for edge e = (i, j), where
+        outcomes[c] lists (flip mask, weight) pairs for the draw pairs that
+        move edge code c. When the weights and probabilities lift to exact
+        fractions, D is their common denominator and each weight an int
+        numerator over D, one per distinct flip. Otherwise D is None and
+        the weights are the float products w * p_k * p_l, one per draw pair
+        (k, l) in order, so that float sums keep the (edge, k, l) order.
+        """
+        ops = self.rules.ops
+        weights = _lift_exact(self.edge_weights)
+        probs = _lift_exact(self.rules.probs)
+        if weights is None or probs is None:
+            denom = None
+            weights = tuple(map(float, self.edge_weights))
+            probs = tuple(map(float, self.rules.probs))
+        else:
+            dw = math.lcm(*(w.denominator for w in weights))
+            dp = math.lcm(*(p.denominator for p in probs))
+            denom = dw * dp * dp
+            weights = tuple(w.numerator * (dw // w.denominator) for w in weights)
+            probs = tuple(p.numerator * (dp // p.denominator) for p in probs)
+        per_edge = []
+        for w, (i, j) in zip(weights, self.graph.edges):
+            outcomes = []
+            for c in range(4):
+                pairs = []
+                for k, pk in zip(ops, probs):
+                    wk = w * pk
+                    for l, pl in zip(ops, probs):
+                        flip = c ^ int(_PAIR_STEP[k, l, c])
+                        mask = (flip & 1) << (i - 1) | (flip >> 1) << (j - 1)
+                        pairs.append((mask, wk * pl))
+                if denom is not None:
+                    merged: dict[int, int] = {}
+                    for mask, num in pairs:
+                        merged[mask] = merged.get(mask, 0) + num
+                    pairs = merged.items()
+                outcomes.append(tuple(pairs))
+            per_edge.append((i - 1, j - 1, tuple(outcomes)))
+        return denom, tuple(per_edge)
 
 
 @dataclass(frozen=True)
@@ -270,26 +317,25 @@ def _lift_exact(values):
 def transition_row(spec: ChainSpec, s: int) -> TransitionRow:
     """Merged one-step distribution out of state s.
 
-    Contributions are accumulated as exact rationals whenever all rule
-    probabilities and edge weights lift to small fractions summing to 1;
-    otherwise plain floats are used. Targets are sorted by state word.
+    When all rule probabilities and edge weights lift to small fractions
+    summing to 1, each target's probability is an int numerator over one
+    common denominator, summed exactly and rounded to float once (the
+    float of the exact rational). Otherwise plain floats are summed in
+    (edge, k, l) draw order. Targets are sorted by state word.
     """
     n = spec.graph.n
     if not 0 <= s < 1 << n:
         raise ValueError(f"state {s} out of range for n={n}")
-    weights = _lift_exact(spec.edge_weights)
-    probs = _lift_exact(spec.rules.probs)
-    if weights is None or probs is None:
-        weights = tuple(map(float, spec.edge_weights))
-        probs = tuple(map(float, spec.rules.probs))
+    denom, per_edge = spec._steps
     acc: dict[int, object] = {}
-    for w, edge in zip(weights, spec.graph.edges):
-        for k, pk in zip(spec.rules.ops, probs):
-            wk = w * pk
-            for l, pl in zip(spec.rules.ops, probs):
-                t = step_pair(s, edge, k, l)
-                acc[t] = acc.get(t, 0) + wk * pl
-    targets = tuple((t, float(p)) for t, p in sorted(acc.items()))
+    for si, sj, outcomes in per_edge:
+        for flip, p in outcomes[(s >> si & 1) | (s >> sj & 1) << 1]:
+            t = s ^ flip
+            acc[t] = acc.get(t, 0) + p
+    if denom is None:
+        targets = tuple(sorted(acc.items()))
+    else:
+        targets = tuple((t, p / denom) for t, p in sorted(acc.items()))
     return TransitionRow(source=s, targets=targets)
 
 

@@ -2,7 +2,8 @@
 
 Nodes are labeled 1..n in every external interface. Edges are unordered
 distinct pairs; adjacency lists are derived and kept sorted. Graph objects
-are immutable after construction and safe to share.
+are immutable after construction and safe to share; each one runs its
+connectivity and 2-coloring BFS at most once and keeps the answers.
 
 Shape classification distinguishes the cases that have different closed-form
 class counts: line, cycle, star, other tree, and general graphs split by
@@ -15,6 +16,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .errors import ConstructionError, ParseError
 
@@ -69,6 +71,15 @@ class Graph:
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
 
+    # Not dataclass fields: they stay out of ==, hash and repr.
+    @cached_property
+    def _connected(self) -> bool:
+        return _bfs_connected(self)
+
+    @cached_property
+    def _colors(self) -> tuple[int, ...] | None:
+        return _bfs_coloring(self)
+
 
 @dataclass(frozen=True)
 class GraphShape:
@@ -78,6 +89,10 @@ class GraphShape:
 
 
 def is_connected(g: Graph) -> bool:
+    return g._connected
+
+
+def _bfs_connected(g: Graph) -> bool:
     seen = {1}
     queue = deque([1])
     while queue:
@@ -95,6 +110,10 @@ def bipartition(g: Graph) -> tuple[int, ...] | None:
     Returns a color (0/1) per node, indexed by node label with entry 0 unused,
     or None when some component contains an odd cycle.
     """
+    return g._colors
+
+
+def _bfs_coloring(g: Graph) -> tuple[int, ...] | None:
     colors = [-1] * (g.n + 1)
     for start in range(1, g.n + 1):
         if colors[start] != -1:
@@ -113,7 +132,7 @@ def bipartition(g: Graph) -> tuple[int, ...] | None:
 
 
 def has_odd_cycle(g: Graph) -> bool:
-    return bipartition(g) is None
+    return g._colors is None
 
 
 def classify_shape(g: Graph) -> GraphShape:

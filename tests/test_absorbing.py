@@ -222,6 +222,42 @@ def test_oracle_rejections():
         absorbing.is_absorbing_chain_oracle(split, frozenset({1, 7}))
 
 
+def test_oracle_parity_lookup_matches_predicate():
+    for mask in range(1, 1 << 16):
+        ops = rules.mask_ops(mask)
+        assert (ops in absorbing._PARITY_SETS) == rules.is_parity_family(ops)
+
+
+def test_oracle_runs_graph_bfs_once(monkeypatch):
+    calls = {"connected": 0, "coloring": 0}
+
+    def counted(key, fn):
+        def wrapper(g):
+            calls[key] += 1
+            return fn(g)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        graphs, "_bfs_connected", counted("connected", graphs._bfs_connected)
+    )
+    monkeypatch.setattr(
+        graphs, "_bfs_coloring", counted("coloring", graphs._bfs_coloring)
+    )
+    g = graphs.make("cycle", 7)
+    verdicts = [
+        absorbing.is_absorbing_chain_oracle(g, rules.mask_ops(mask))
+        for mask in range(1, 1 << 16)
+    ]
+    assert calls == {"connected": 1, "coloring": 1}
+    assert sum(verdicts) > 0
+    split = graphs.Graph(4, ((1, 2), (3, 4)))
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            absorbing.is_absorbing_chain_oracle(split, frozenset({1, 7}))
+    assert calls == {"connected": 2, "coloring": 1}
+
+
 def test_graph_independence_checker():
     # Non-parity rule sets get one verdict regardless of the graph, so a
     # star and a triangle must agree; parity families are refused outright.

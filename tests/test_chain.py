@@ -126,6 +126,73 @@ def test_row_stochasticity_random_specs():
             assert [t for t, _ in row.targets] == sorted(t for t, _ in row.targets)
 
 
+def _reference_row_targets(spec, s):
+    # The per-state accumulation loop transition_row used before the
+    # per-spec table; new rows must equal it exactly.
+    weights = chain._lift_exact(spec.edge_weights)
+    probs = chain._lift_exact(spec.rules.probs)
+    if weights is None or probs is None:
+        weights = tuple(map(float, spec.edge_weights))
+        probs = tuple(map(float, spec.rules.probs))
+    acc: dict[int, object] = {}
+    for w, edge in zip(weights, spec.graph.edges):
+        for k, pk in zip(spec.rules.ops, probs):
+            wk = w * pk
+            for l, pl in zip(spec.rules.ops, probs):
+                t = chain.step_pair(s, edge, k, l)
+                acc[t] = acc.get(t, 0) + wk * pl
+    return tuple((t, float(p)) for t, p in sorted(acc.items()))
+
+
+def test_transition_row_matches_reference_accumulation():
+    rng = random.Random(404)
+    specs = []
+    for _ in range(30):
+        g = corpus.random_connected_graph(rng.randrange(2, 7), rng)
+        ops = tuple(sorted(corpus.random_rule_set(rng)))
+        # Random floats do not lift to small fractions: the float path.
+        specs.append(
+            chain.ChainSpec(
+                g,
+                rules.RuleSet(ops, corpus.random_probs(len(ops), rng)),
+                corpus.random_probs(len(g.edges), rng),
+            )
+        )
+        # Uniform Fractions: the exact path.
+        specs.append(chain.ChainSpec(g, rules.RuleSet(ops)))
+    # Decimal floats that lift exactly.
+    specs.append(
+        chain.ChainSpec(graphs.make("cycle", 5), rules.RuleSet((1, 7), (0.7, 0.3)))
+    )
+    # A common denominator far beyond 2^53.
+    g = graphs.make("complete", 4)
+    head = (Fraction(1, 999983), Fraction(1, 999979))
+    weights = head + ((1 - sum(head)) / 4,) * 4
+    p1, p2 = Fraction(1, 1000003), Fraction(2, 999961)
+    probs = (p1, p2, 1 - p1 - p2)
+    denom = math.lcm(*(w.denominator for w in weights)) * math.lcm(
+        *(p.denominator for p in probs)
+    ) ** 2
+    assert denom > 2**53
+    specs.append(chain.ChainSpec(g, rules.RuleSet((1, 7, 2), probs), weights))
+    for spec in specs:
+        for s in range(1 << spec.graph.n):
+            row = chain.transition_row(spec, s)
+            assert row.targets == _reference_row_targets(spec, s)
+
+
+def test_chain_spec_table_keeps_equality_and_hash():
+    g = graphs.make("cycle", 5)
+    spec = chain.ChainSpec(g, rules.RuleSet((1, 7), (0.7, 0.3)))
+    chain.transition_row(spec, 3)
+    assert "_steps" in vars(spec)
+    fresh = chain.ChainSpec(g, rules.RuleSet((1, 7), (0.7, 0.3)))
+    assert "_steps" not in vars(fresh)
+    assert spec == fresh and fresh == spec
+    assert hash(spec) == hash(fresh)
+    assert len({spec, fresh}) == 1
+
+
 def test_analyze_matches_transition_rows():
     # The vectorized support must agree with literal row enumeration.
     rng = random.Random(13)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import corpus
 from boolgossip import graphs
 from boolgossip.errors import ConstructionError, ParseError
 
@@ -104,6 +105,45 @@ def test_connectivity_and_coloring():
     assert all(colors[i] != colors[j] for i, j in g.edges)
     assert graphs.has_odd_cycle(graphs.make("complete", 4))
     assert not graphs.has_odd_cycle(graphs.make("star", 7))
+
+
+def _fresh_bfs(g):
+    """(connected, two-colorable) from a BFS over every component."""
+    color = {}
+    components = 0
+    bipartite = True
+    for root in range(1, g.n + 1):
+        if root in color:
+            continue
+        components += 1
+        color[root] = 0
+        frontier = [root]
+        while frontier:
+            u = frontier.pop()
+            for a, b in g.edges:
+                if u not in (a, b):
+                    continue
+                v = b if u == a else a
+                if v not in color:
+                    color[v] = color[u] ^ 1
+                    frontier.append(v)
+                elif color[v] == color[u]:
+                    bipartite = False
+    return components == 1, bipartite
+
+
+def test_cached_predicates_match_fresh_bfs():
+    rng = random.Random(8)
+    for _ in range(200):
+        g = corpus.random_connected_graph(rng.randrange(2, 10), rng)
+        # Dropping an edge disconnects a tree part of the time.
+        cut = graphs.Graph(g.n, g.edges[1:])
+        for h in (g, cut):
+            connected, bipartite = _fresh_bfs(h)
+            for _ in range(2):  # computed once, then read from the cache
+                assert graphs.is_connected(h) == connected
+                assert graphs.has_odd_cycle(h) == (not bipartite)
+                assert (graphs.bipartition(h) is None) == (not bipartite)
 
 
 def test_classify_shape():
