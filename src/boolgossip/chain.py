@@ -342,9 +342,12 @@ def transition_row(spec: ChainSpec, s: int) -> TransitionRow:
 def absorption_probabilities(spec: ChainSpec, start: int) -> dict[int, float]:
     r"""Probability of ending in each absorbing state from a transient start.
 
-    Solves y = e_start + y Q to tolerance 1e-12 (sup-norm on successive
-    iterates, iteration cap 1e7), checks the residual \|y - e - yQ\|_inf
-    <= 1e-10, and returns y R as a map over all absorbing states.
+    Solves y = e_start + y Q by Neumann iteration and returns y R as a map
+    over all absorbing states. Each update of the iterate is the mass still
+    transient, which bounds the summed error of the probabilities, since
+    the iterates grow monotonically from below. The iteration stops at the
+    first update that is at most 1e-12 in sup-norm and at most 1e-10 in
+    sum, and raises SolverError at the cap of 1e7 iterations.
     """
     n = spec.graph.n
     if n > MAX_SOLVE_N:
@@ -385,19 +388,21 @@ def absorption_probabilities(spec: ChainSpec, start: int) -> dict[int, float]:
     e = np.zeros(nt)
     e[t_pos[start]] = 1.0
     y = e.copy()
+    # An update y_next - y is the mass still transient, spread over the
+    # states; its sup-norm bounds only the largest entry, its sum bounds
+    # the error of all the probabilities together.
     for _ in range(MAX_SOLVE_ITER):
         y_next = e + q_t @ y
-        delta = float(np.max(np.abs(y_next - y)))
+        step = y_next - y
         y = y_next
-        if delta <= SOLVE_TOL:
+        delta = float(np.max(np.abs(step)))
+        if delta <= SOLVE_TOL and float(step.sum()) <= RESIDUAL_TOL:
             break
     else:
         raise SolverError(
-            f"absorption solve did not converge: last update {delta:.3e}"
+            f"absorption solve did not converge: last update {delta:.3e}, "
+            f"mass still transient {float(step.sum()):.3e}"
         )
-    residual = float(np.max(np.abs(y - e - q_t @ y)))
-    if residual > RESIDUAL_TOL:
-        raise SolverError(f"absorption solve residual {residual:.3e} > {RESIDUAL_TOL}")
     probs = r_mat.T @ y
     return {int(s): float(p) for s, p in zip(absorbing_ids, probs)}
 

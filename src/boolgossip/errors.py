@@ -27,4 +27,5 @@ class CapacityError(GossipError, ValueError):
 
 
 class SolverError(GossipError, RuntimeError):
-    """An iterative solve failed to converge; the message reports the residual."""
+    """An iterative solve failed to converge; the message reports the last
+    update and the mass still transient."""

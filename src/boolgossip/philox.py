@@ -10,11 +10,14 @@ Philox bit generator in the test suite).
 
 One block maps a 256-bit counter (c0, c1, c2, c3) and a 128-bit key
 (k0, k1) to four 64-bit words through ten multiply-xor rounds. The rounds
-run in place over fixed-size chunks of the counters, so the working
-buffers stay in cache and no full-length temporaries are built.
+run in place over fixed-size chunks of the counters, each filled from a
+broadcast view of the inputs, so the working buffers stay in cache and no
+full-length temporaries are built.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -62,37 +65,44 @@ def philox4(c0, c1, c2, c3, k0: int, k1: int):
     """Run the ten Philox rounds on array counters with a scalar key.
 
     c0..c3 are broadcastable uint64 arrays (or scalars); returns the four
-    output words as uint64 arrays of the broadcast shape. The inputs are
-    only read.
+    output words as uint64 arrays of the broadcast shape, each in its own
+    buffer so that a caller can drop the words it is done with. The inputs
+    are only read.
     """
-    counters = np.broadcast_arrays(
-        *(np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3))
-    )
-    shape = counters[0].shape
-    flat = [c.reshape(-1) for c in counters]
-    size = flat[0].size
+    x = [np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3)]
+    shape = np.broadcast_shapes(*(c.shape for c in x))
+    size = math.prod(shape)
     keys = [
         (np.uint64((k0 + r * _W0) & _U64), np.uint64((k1 + r * _W1) & _U64))
         for r in range(_ROUNDS)
     ]
-    out = np.empty((4, size), dtype=np.uint64)
-    width = max(1, min(_CHUNK, size))
-    work = np.empty((10, width), dtype=np.uint64)
-    for s in range(0, size, width):
-        e = min(s + width, size)
-        x0, x1, x2, x3, h0, l0, h1, l1, t, u = work[:, : e - s]
-        for buf, src in zip((x0, x1, x2, x3), flat):
-            buf[...] = src[s:e]
-        for key0, key1 in keys:
-            _mulhilo(_M0, x0, h0, l0, t, u)
-            _mulhilo(_M1, x2, h1, l1, t, u)
-            h1 ^= x1
-            h1 ^= key0
-            h0 ^= x3
-            h0 ^= key1
-            x0, x1, x2, x3, h0, l0, h1, l1 = h1, l1, h0, l0, x0, x1, x2, x3
-        for word, buf in zip(out, (x0, x1, x2, x3)):
-            word[s:e] = buf
+    # The rounds run chunk by chunk over a (rows, cols) view of the broadcast
+    # counters: whole rows per chunk, or pieces of one row longer than a chunk.
+    cols = max(shape[-1] if shape else 1, 1)
+    rows = size // cols
+    views = [np.broadcast_to(c, shape).reshape(rows, cols) for c in x]
+    out = [np.empty((rows, cols), dtype=np.uint64) for _ in range(4)]
+    step_rows = max(1, _CHUNK // cols)
+    width = min(cols, _CHUNK)
+    work = np.empty((10, min(step_rows, rows) * width), dtype=np.uint64)
+    for r0 in range(0, rows, step_rows):
+        r1 = min(r0 + step_rows, rows)
+        for s in range(0, cols, width):
+            e = min(s + width, cols)
+            bufs = work[:, : (r1 - r0) * (e - s)].reshape(10, r1 - r0, e - s)
+            x0, x1, x2, x3, h0, l0, h1, l1, t, u = bufs
+            for buf, view in zip((x0, x1, x2, x3), views):
+                buf[...] = view[r0:r1, s:e]
+            for key0, key1 in keys:
+                _mulhilo(_M0, x0, h0, l0, t, u)
+                _mulhilo(_M1, x2, h1, l1, t, u)
+                h1 ^= x1
+                h1 ^= key0
+                h0 ^= x3
+                h0 ^= key1
+                x0, x1, x2, x3, h0, l0, h1, l1 = h1, l1, h0, l0, x0, x1, x2, x3
+            for word, buf in zip(out, (x0, x1, x2, x3)):
+                word[r0:r1, s:e] = buf
     return tuple(word.reshape(shape) for word in out)
 
 

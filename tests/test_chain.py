@@ -11,7 +11,7 @@ import pytest
 
 import corpus
 from boolgossip import chain, graphs, rules
-from boolgossip.errors import CapacityError, ParseError, PreconditionError
+from boolgossip.errors import CapacityError, ParseError, PreconditionError, SolverError
 
 
 def test_state_round_trip():
@@ -384,3 +384,44 @@ def test_export_csv():
     assert set(sums) == {"00", "01", "10", "11"}
     for total in sums.values():
         assert abs(total - 1.0) <= 1e-12
+
+
+def test_absorption_stops_on_transient_mass(monkeypatch):
+    # The sup-norm stop alone (the transient-mass tolerance patched away)
+    # bounds only the largest entry of the mass still transient. On
+    # complete(8) at P(OR) = 1/2 its answer is already certified and comes
+    # back unchanged; on complete(11) it leaves a mass deficit above
+    # RESIDUAL_TOL, and the transient-mass rule iterates on past it.
+    tol = chain.RESIDUAL_TOL
+    for n, certified in ((8, True), (11, False)):
+        spec = chain.ChainSpec(graphs.make("complete", n), rules.RuleSet((1, 7), (0.5, 0.5)))
+        dist = chain.absorption_probabilities(spec, 1)
+        assert 0.0 < 1.0 - math.fsum(dist.values()) <= tol
+        monkeypatch.setattr(chain, "RESIDUAL_TOL", math.inf)
+        sup_only = chain.absorption_probabilities(spec, 1)
+        monkeypatch.setattr(chain, "RESIDUAL_TOL", tol)
+        assert (sup_only == dist) == certified
+        assert (1.0 - math.fsum(sup_only.values()) <= tol) == certified
+
+    # Valid weights that sum to 1 - 1e-12 leak mass at every step. The leak
+    # is not transient mass, so the solve returns, within 1e-9 of the
+    # answer for weights that sum to 1.
+    g = graphs.make("cycle", 10)
+    ruleset = rules.RuleSet((1, 7), (0.5, 0.5))
+    leaky = chain.ChainSpec(g, ruleset, (0.1,) * 9 + (0.1 - 1e-12,))
+    dist = chain.absorption_probabilities(leaky, 1)
+    assert 1.0 - math.fsum(dist.values()) > tol
+    exact = chain.absorption_probabilities(chain.ChainSpec(g, ruleset), 1)
+    assert all(abs(dist[a] - exact[a]) < 1e-9 for a in exact)
+
+    # A sup-norm tolerance that every update meets does not get past the
+    # transient-mass rule; with the iterations capped below what it needs,
+    # the solve raises.
+    spec = chain.ChainSpec(graphs.make("cycle", 6), rules.RuleSet((1, 7), (0.7, 0.3)))
+    start = chain.parse_state("100000", 6)
+    monkeypatch.setattr(chain, "SOLVE_TOL", 1.0)
+    dist = chain.absorption_probabilities(spec, start)
+    assert 0.0 < 1.0 - math.fsum(dist.values()) <= tol
+    monkeypatch.setattr(chain, "MAX_SOLVE_ITER", 20)
+    with pytest.raises(SolverError, match="mass still transient"):
+        chain.absorption_probabilities(spec, start)

@@ -139,3 +139,61 @@ def test_uniforms_range_and_mean():
     assert u.min() >= 0.0 and u.max() < 1.0
     # 80k draws: the sample mean sits within 5 sigma of 1/2.
     assert abs(float(u.mean()) - 0.5) < 5 * 0.2887 / (80000**0.5)
+
+
+def _reference_words(counter, key):
+    """Philox4x64-10 on one counter in Python integers."""
+    x0, x1, x2, x3 = counter
+    k0, k1 = key
+    for _ in range(philox._ROUNDS):
+        p0 = 0xD2E7470EE14C6C93 * x0
+        p1 = 0xCA5A826395121157 * x2
+        x0, x1, x2, x3 = (p1 >> 64) ^ x1 ^ k0, p1 & _U64, (p0 >> 64) ^ x3 ^ k1, p0 & _U64
+        k0 = (k0 + philox._W0) & _U64
+        k1 = (k1 + philox._W1) & _U64
+    return x0, x1, x2, x3
+
+
+def test_chunked_rounds_match_flat_reference():
+    # Chunks filled from broadcast views of the counters must give, per
+    # element, the words of the flat per-element reference.
+    assert _reference_words((1, 2, 3, 4), (5, 6)) == tuple(
+        int(w) for w in _numpy_words((0, 2, 3, 4), (5, 6))
+    )
+    rng = np.random.default_rng(7)
+    big = philox._CHUNK + 5
+
+    def rand(*shape):
+        return rng.integers(0, _U64, shape, dtype=np.uint64, endpoint=True)
+
+    cases = (
+        (rand(9, 1), rand(1, 1), 0, 0),  # T = 1
+        (rand(3, 1), rand(1, big), 0, 0),  # T > _CHUNK
+        (rand(1, 1), rand(1, 37), 0, 0),  # R = 1
+        (rand(37), rand(5, 1), 0, 0),  # steps x rounds, as the simulator asks
+        (rand(7, 1), rand(1, 6), rand(7, 1), rand(1, 6)),
+        (rand(40), 3, 0, 0),  # 1-D
+        (rand(40), rand(40), rand(40), rand(40)),  # x0 full size from the start
+        (rand(6, 5), rand(5), rand(1, 5), 0),
+        (rand(2, 1, 3), rand(1, 4, 1), 0, 0),  # 3-D
+        (rand(0, 1), rand(1, 5), 0, 0),  # empty
+        (5, 6, 7, 8),  # scalars
+    )
+    for counters in cases:
+        saved = [np.array(c, copy=True) for c in counters]
+        words = philox.philox4(*counters, 11, 12)
+        for c, s in zip(counters, saved):
+            assert (np.asarray(c) == s).all()
+        shape = np.broadcast_shapes(*(np.shape(c) for c in counters))
+        assert all(w.shape == shape for w in words)
+        flat = [np.broadcast_to(c, shape).reshape(-1) for c in counters]
+        size = flat[0].size
+        picks = range(size) if size <= 400 else rng.integers(0, size, 400)
+        for i in picks:
+            expected = _reference_words(tuple(int(c[i]) for c in flat), (11, 12))
+            assert tuple(int(w.reshape(-1)[i]) for w in words) == expected
+        # The same counters as contiguous full-size arrays fill the chunks
+        # from plain slices.
+        whole = philox.philox4(*(np.ascontiguousarray(c) for c in flat), 11, 12)
+        for w, v in zip(words, whole):
+            assert (w.reshape(-1) == v).all()

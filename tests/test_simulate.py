@@ -6,6 +6,7 @@ import collections
 import logging
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -150,6 +151,55 @@ def test_seeded_streams_beyond_and_or():
         assert result.consensus_fraction == consensus
 
 
+def test_seeded_streams_weighted_and_clamped(monkeypatch):
+    # Recorded outputs for the pick paths the other stream tests leave out:
+    # unequal Fraction edge weights with three or four operators of unequal
+    # probability, and uniform weights whose float cumsum ends below 1, with
+    # one draw in eight forced into the top four doubles below 1 so that
+    # edge and operator picks land past the last bound and are clamped.
+    g = graphs.make("complete", 5)
+    weights = tuple(Fraction(k, 55) for k in range(1, 11))
+    rounds = 64
+    cases = (
+        ((7, 1, 0xB, 6), (Fraction(1, 2), Fraction(1, 5), Fraction(1, 5), Fraction(1, 10)),
+         dict(delta0=0.5), (162, 234, 265, 256, 261, 263, 271), {}, 0.4375),
+        ((7, 1, 0xB, 6), (Fraction(1, 2), Fraction(1, 5), Fraction(1, 5), Fraction(1, 10)),
+         dict(start=chain.parse_state("11000", 5)),
+         (128, 247, 267, 258, 262, 265, 271), {}, 0.4375),
+        ((1, 3, 7), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)), dict(delta0=0.5),
+         (162, 92, 65, 49, 45, 44, 41), {31: 8, 0: 55}, 0.984375),
+    )
+    for ops, probs, start, ones, absorbed, consensus in cases:
+        spec = chain.ChainSpec(g, rules.RuleSet(ops, probs), weights)
+        config = simulate.SimConfig(spec, 60, rounds, seed=31, sample_every=10, **start)
+        result = simulate.run(config)
+        assert result.density_mean.steps == (0, 10, 20, 30, 40, 50, 60)
+        assert result.density_mean.density == tuple(c / (rounds * 5) for c in ones)
+        assert result.absorption_counts == absorbed
+        assert result.consensus_fraction == consensus
+
+    plain = simulate.uniforms
+
+    def forced(words):
+        top = (words & np.uint64(7)) == 0
+        offset = (words >> np.uint64(3) & np.uint64(3)).astype(np.float64)
+        return np.where(top, 1.0 - 2.0**-53 * (1.0 + offset), plain(words))
+
+    monkeypatch.setattr(simulate, "uniforms", forced)
+    spec = _spec(graphs.make("complete", 8), (1, 2, 6, 7, 8, 0xB, 0xD))
+    assert np.cumsum([float(w) for w in spec.edge_weights])[-1] == 1 - 3 * 2.0**-53
+    assert np.cumsum([float(p) for p in spec.rules.probs])[-1] == 1 - 2 * 2.0**-53
+    config = simulate.SimConfig(
+        spec, 64, rounds, seed=32, sample_every=16, start=chain.parse_state("11110000", 8)
+    )
+    result = simulate.run(config)
+    assert result.density_mean.steps == (0, 16, 32, 48, 64)
+    ones = (256, 275, 268, 276, 263)
+    assert result.density_mean.density == tuple(c / (rounds * 8) for c in ones)
+    assert result.absorption_counts == {}
+    assert result.consensus_fraction == 0.0
+
+
 def test_count_rows_matches_per_row_packing():
     # Reference: the per-row packing the grouped count replaced.
     def per_row(rows):
@@ -200,3 +250,41 @@ def test_progress_logging(caplog, monkeypatch):
     lines = [r.getMessage() for r in caplog.records]
     assert lines and lines[0].startswith("step 8 of 40, ")
     assert lines[0].endswith(" of 20 rounds alive")
+
+
+def test_pick_matches_searchsorted():
+    # Reference: the clamped search the picks replaced. Draws sit at every
+    # bound of the float cumsum, one double to either side of it, at 0 and
+    # at the largest uniform, 1 - 2**-53.
+    rng = np.random.default_rng(9)
+    for m in (1, 2, 3, 15, 16, 17, 4950, 499500):
+        skewed = np.full(m, 1e-9 / m)
+        skewed[m // 3] = 1.0 - skewed[:-1].sum()
+        tables = (
+            (Fraction(1, m),) * m,
+            tuple(rng.random(m) / m * 2),
+            tuple(skewed),
+        )
+        for weights in tables:
+            cum = np.cumsum([float(w) for w in weights])
+            u = np.concatenate(
+                (
+                    cum,
+                    np.nextafter(cum, 0.0),
+                    np.nextafter(cum, 2.0),
+                    [0.0, 1.0 - 2.0**-53],
+                    rng.random(1000),
+                )
+            )
+            u = u[(u >= 0.0) & (u < 1.0)]
+            expected = np.minimum(np.searchsorted(cum, u, side="right"), m - 1)
+            pick = simulate._picker(weights)
+            assert (pick(u) == expected).all()
+            cut = len(u) // 2 * 2
+            grid = pick(u[:cut].reshape(2, -1))
+            assert grid.shape == (2, cut // 2)
+            assert (grid.reshape(-1) == expected[:cut]).all()
+            # A draw array that is not C-ordered gives the same picks.
+            grid = pick(np.asfortranarray(u[:cut].reshape(2, -1)))
+            assert (grid.reshape(-1) == expected[:cut]).all()
+            assert (pick(u[::-1]) == expected[::-1]).all()
