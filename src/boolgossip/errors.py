@@ -27,5 +27,5 @@ class CapacityError(GossipError, ValueError):
 
 
 class SolverError(GossipError, RuntimeError):
-    """An iterative solve failed to converge; the message reports the last
-    update and the mass still transient."""
+    """A solve could not certify its answer; the message reports the error
+    bound it reached."""

@@ -170,12 +170,16 @@ def _picker(weights):
         return pick
     cells = 1 << (2 * len(bounds) + 1).bit_length()
     guide = np.searchsorted(bounds, np.arange(cells) / cells, side="right")
+    # int32 cells halve the table (8 MB to 4 MB at 499500 edges); the
+    # gathered candidates are cast back so the later gathers index by intp.
+    if len(bounds) < 2**31:
+        guide = guide.astype(np.int32)
     upper = np.append(bounds, np.inf)
 
     def pick(u):
         flat_u = u.reshape(-1)
         # u * cells is exact (cells is a power of two), so the cell holds u.
-        idx = guide[(flat_u * cells).astype(np.intp)]
+        idx = guide[(flat_u * cells).astype(np.intp)].astype(np.intp)
         miss = np.flatnonzero(flat_u >= upper[idx])
         if len(miss):
             late_u = flat_u[miss]

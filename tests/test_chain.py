@@ -386,42 +386,80 @@ def test_export_csv():
         assert abs(total - 1.0) <= 1e-12
 
 
-def test_absorption_stops_on_transient_mass(monkeypatch):
-    # The sup-norm stop alone (the transient-mass tolerance patched away)
-    # bounds only the largest entry of the mass still transient. On
-    # complete(8) at P(OR) = 1/2 its answer is already certified and comes
-    # back unchanged; on complete(11) it leaves a mass deficit above
-    # RESIDUAL_TOL, and the transient-mass rule iterates on past it.
+def test_absorption_certificate(monkeypatch):
+    # The solve returns only answers whose l1 error bound is within
+    # RESIDUAL_TOL, so the probabilities of an absorbing chain add up to 1
+    # within it.
     tol = chain.RESIDUAL_TOL
-    for n, certified in ((8, True), (11, False)):
+    for n in (8, 11):
         spec = chain.ChainSpec(graphs.make("complete", n), rules.RuleSet((1, 7), (0.5, 0.5)))
         dist = chain.absorption_probabilities(spec, 1)
-        assert 0.0 < 1.0 - math.fsum(dist.values()) <= tol
-        monkeypatch.setattr(chain, "RESIDUAL_TOL", math.inf)
-        sup_only = chain.absorption_probabilities(spec, 1)
-        monkeypatch.setattr(chain, "RESIDUAL_TOL", tol)
-        assert (sup_only == dist) == certified
-        assert (1.0 - math.fsum(sup_only.values()) <= tol) == certified
+        assert abs(1.0 - math.fsum(dist.values())) <= tol
 
-    # Valid weights that sum to 1 - 1e-12 leak mass at every step. The leak
-    # is not transient mass, so the solve returns, within 1e-9 of the
-    # answer for weights that sum to 1.
+    # Valid weights that sum to 1 - 1e-12 leak mass at every step. The
+    # leaked mass is absorbed nowhere, and the certificate still holds, so
+    # the solve returns within 1e-9 of the answer for weights that sum to 1.
     g = graphs.make("cycle", 10)
     ruleset = rules.RuleSet((1, 7), (0.5, 0.5))
     leaky = chain.ChainSpec(g, ruleset, (0.1,) * 9 + (0.1 - 1e-12,))
     dist = chain.absorption_probabilities(leaky, 1)
-    assert 1.0 - math.fsum(dist.values()) > tol
     exact = chain.absorption_probabilities(chain.ChainSpec(g, ruleset), 1)
     assert all(abs(dist[a] - exact[a]) < 1e-9 for a in exact)
 
-    # A sup-norm tolerance that every update meets does not get past the
-    # transient-mass rule; with the iterations capped below what it needs,
-    # the solve raises.
-    spec = chain.ChainSpec(graphs.make("cycle", 6), rules.RuleSet((1, 7), (0.7, 0.3)))
-    start = chain.parse_state("100000", 6)
-    monkeypatch.setattr(chain, "SOLVE_TOL", 1.0)
-    dist = chain.absorption_probabilities(spec, start)
-    assert 0.0 < 1.0 - math.fsum(dist.values()) <= tol
-    monkeypatch.setattr(chain, "MAX_SOLVE_ITER", 20)
-    with pytest.raises(SolverError, match="mass still transient"):
-        chain.absorption_probabilities(spec, start)
+    # An answer moved by 1e-8 at state 1110000000 is rejected, although the
+    # signed sum of its residual stays near 0: no step absorbs from there,
+    # so the move only shifts mass between transient states. Transient
+    # states are ordered by word and 0 is the only smaller absorbing one, so
+    # state s sits at entry s - 1.
+    solve = chain.gmres
+
+    def nudged(*args, **kwargs):
+        y, info = solve(*args, **kwargs)
+        y[0b111 - 1] += 1e-8
+        return y, info
+
+    monkeypatch.setattr(chain, "gmres", nudged)
+    with pytest.raises(SolverError, match="error bound"):
+        chain.absorption_probabilities(chain.ChainSpec(g, ruleset), 1)
+    monkeypatch.setattr(chain, "gmres", solve)
+
+    # Below the bound any float answer can reach, the solve raises and
+    # reports the bound.
+    monkeypatch.setattr(chain, "RESIDUAL_TOL", 1e-17)
+    with pytest.raises(SolverError, match="error bound"):
+        chain.absorption_probabilities(leaky, 1)
+
+
+@pytest.mark.parametrize("kind", ["line", "cycle", "star", "complete"])
+def test_absorption_martingale_oracle(kind):
+    # At P(OR) = 1/2 the count of ones is a martingale: on a discordant
+    # edge OR-OR adds a one, AND-AND removes one, both with probability
+    # 1/4, and the mixed draws are void or leave the edge alone. So from k
+    # ones the chain ends at all-ones with probability k/n.
+    spec_rules = rules.RuleSet((1, 7), (Fraction(1, 2), Fraction(1, 2)))
+    rng = random.Random(11)
+    for n in (3, 6, 10):
+        spec = chain.ChainSpec(graphs.make(kind, n), spec_rules)
+        full = (1 << n) - 1
+        for start in rng.sample(range(1, full), 4):
+            dist = chain.absorption_probabilities(spec, start)
+            k = bin(start).count("1")
+            assert abs(dist[full] - k / n) <= 1e-12
+            assert abs(dist[0] - (n - k) / n) <= 1e-12
+
+
+@pytest.mark.parametrize("p_or", [Fraction(3, 10), Fraction(2, 3)])
+def test_absorption_gamblers_ruin_oracle(p_or):
+    # On complete(n) with uniform weights every discordant edge is as
+    # likely, so the count of ones moves up with probability p^2 and down
+    # with q^2 per effective step: a gambler's ruin with r = (q / p)^2.
+    spec_rules = rules.RuleSet((1, 7), (1 - p_or, p_or))
+    r = ((1 - p_or) / p_or) ** 2
+    for n in (3, 7, 10):
+        spec = chain.ChainSpec(graphs.make("complete", n), spec_rules)
+        full = (1 << n) - 1
+        for k in range(1, n):
+            start = (1 << k) - 1
+            dist = chain.absorption_probabilities(spec, start)
+            want = float((1 - r**k) / (1 - r**n))
+            assert abs(dist[full] - want) <= 1e-12
