@@ -197,3 +197,112 @@ def test_chunked_rounds_match_flat_reference():
         whole = philox.philox4(*(np.ascontiguousarray(c) for c in flat), 11, 12)
         for w, v in zip(words, whole):
             assert (w.reshape(-1) == v).all()
+
+
+def _assert_words_equal(got, want):
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        assert g.dtype == np.uint64 and g.shape == w.shape
+        assert (g == w).all()
+
+
+def _philox4_block(seed, tag, major, minor):
+    return philox.philox4(major, minor, 0, 0, seed, tag)
+
+
+def _compiled(seed, tag, ids, minor):
+    """The numpy path, called directly whatever the density cutoff says."""
+    ids = np.asarray(ids, dtype=np.uint64)
+    minor = np.asarray(minor, dtype=np.uint64)
+    words = philox._compiled_rows(seed, tag, ids, minor.reshape(-1))
+    return [w.reshape(np.broadcast_shapes(ids.shape, minor.shape)) for w in words]
+
+
+def test_compiled_rows_match_philox4():
+    rng = np.random.default_rng(11)
+    big = 2 * philox._CHUNK + 9  # rows longer than one piece
+
+    def gapped(span, density):
+        ids = np.sort(rng.choice(span, int(span * density), replace=False))
+        ids[0], ids[-1] = 0, span - 1  # keep the span
+        return np.unique(ids).astype(np.uint64) + np.uint64(3)
+
+    cutoff = philox._DENSE_MIN
+    cases = [
+        # lo = 0 borrows from minor; lo = 0 at minor 0 wraps all 256 bits.
+        (np.arange(300, dtype=np.uint64), np.uint64(0)),
+        (np.arange(300, dtype=np.uint64), np.uint64(1)),
+        (np.arange(300, dtype=np.uint64), np.uint64(399)),
+        (np.arange(300, dtype=np.uint64), np.array([[0], [1], [399]], dtype=np.uint64)),
+        (np.arange(big, dtype=np.uint64), np.array([[5], [0]], dtype=np.uint64)),
+        # a single id
+        (np.array([0], dtype=np.uint64), np.uint64(0)),
+        (np.array([123456789], dtype=np.uint64), np.array([[7], [8]], dtype=np.uint64)),
+        # gaps on both sides of the density cutoff, one span over pieces
+        (gapped(5000, cutoff / 2), np.array([[2], [3]], dtype=np.uint64)),
+        (gapped(5000, min(1.0, cutoff * 2)), np.array([[2], [3]], dtype=np.uint64)),
+        (gapped(big, cutoff * 1.5), np.array([[4]], dtype=np.uint64)),
+        # non-consecutive, descending and repeated steps; a scalar step
+        (np.arange(10, 500, dtype=np.uint64),
+         np.array([[9], [2], [400], [2], [2**64 - 1]], dtype=np.uint64)),
+        (gapped(3000, 0.5), np.uint64(2**40 + 5)),
+        # ids up to 2**64 - 1: a row ends there without carrying into minor
+        (np.arange(2**64 - 300, 2**64, dtype=np.uint64),
+         np.array([[0], [1], [2**64 - 1]], dtype=np.uint64)),
+    ]
+    for seed, tag in ((0, 0), (42, 1), (_U64, _U64)):
+        for ids, minor in cases:
+            want = _philox4_block(seed, tag, ids, minor)
+            _assert_words_equal(_compiled(seed, tag, ids, minor), want)
+            _assert_words_equal(philox.block(seed, tag, ids, minor), want)
+
+
+def test_block_dispatch(monkeypatch):
+    # Inputs that are not sorted rows of ids, or too sparse for their span,
+    # go to philox4 and give its words; dense sorted rows go to numpy.
+    used = []
+    compiled = philox._compiled_rows
+
+    def spy(*args):
+        used.append(True)
+        return compiled(*args)
+
+    monkeypatch.setattr(philox, "_compiled_rows", spy)
+    ids = np.arange(1000, dtype=np.uint64)
+    column = np.array([[3], [4]], dtype=np.uint64)
+    fallback = (
+        (ids[::-1].copy(), column),  # unsorted
+        (np.repeat(ids, 2), column),  # repeated ids
+        (np.array([0, 2**64 - 1], dtype=np.uint64), column),  # sparse, up to 2**64 - 1
+        (ids[:: int(2 / philox._DENSE_MIN)].copy(), column),  # below the cutoff
+        (ids[: philox._ROW_IDS // 2].copy(), column),  # too few ids a row
+        (np.array([2**64 - 1, 0, 1] * 40, dtype=np.uint64), column),  # wrapped
+        (ids.reshape(20, 50), np.uint64(1)),  # 2-D major
+        (ids, np.arange(1000, dtype=np.uint64)),  # element-wise minor
+        (ids, np.arange(2, dtype=np.uint64)[:, None, None]),  # 3-D minor
+        (np.zeros(0, dtype=np.uint64), column),  # empty
+        (ids, np.zeros((0, 1), dtype=np.uint64)),  # no rows
+    )
+    for major, minor in fallback:
+        words = philox.block(9, 1, major, minor)
+        _assert_words_equal(words, _philox4_block(9, 1, major, minor))
+    assert not used
+    for major, minor in ((ids, column), (ids, np.uint64(3)), (ids[::2].copy(), column)):
+        words = philox.block(9, 1, major, minor)
+        _assert_words_equal(words, _philox4_block(9, 1, major, minor))
+    assert len(used) == 3
+
+
+def test_compiled_words_own_their_buffers():
+    ids = np.arange(5, 3000, 2, dtype=np.uint64)
+    for major, minor in (
+        (ids, np.array([[1], [2]], dtype=np.uint64)),
+        (ids, np.uint64(1)),
+        (np.arange(3000, dtype=np.uint64), np.array([[0]], dtype=np.uint64)),
+    ):
+        saved = major.copy(), np.array(minor, copy=True)
+        words = philox.block(17, 2, major, minor)
+        assert (major == saved[0]).all() and (minor == saved[1]).all()
+        for k, w in enumerate(words):
+            assert not np.shares_memory(w, major) and not np.shares_memory(w, minor)
+            assert not any(np.shares_memory(w, v) for v in words[k + 1 :])
