@@ -12,10 +12,14 @@ still flip both sides (e.g. XOR turns an agreeing pair into zeros).
 Communication classes are the strongly connected components of the
 positive-probability transition digraph. The digraph support is computed
 exactly: an arc s -> t exists iff some (edge, op, op) draw maps s to t, so
-no float threshold is ever involved. Absorption probabilities solve
-(I - Q^T) y = e_start by restarted GMRES, where Q and R are the
-transient-to-transient and transient-to-absorbing blocks, and return R^T y
-only when a residual bound certifies its error.
+no float threshold is ever involved. The chain is absorbing when it has an
+absorbing state and every state reaches one. analyze decides this on the
+class DAG of one rule set; the all-rule-set sweep decides it for every
+reach table at once by one backward reachability pass, with no strong
+components. Absorption probabilities solve (I - Q^T) y = e_start by
+restarted GMRES, where Q and R are the transient-to-transient and
+transient-to-absorbing blocks, and return R^T y only when a residual bound
+certifies its error.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from scipy.sparse.linalg import gmres
 
 from .errors import CapacityError, ParseError, PreconditionError, SolverError
 from .graphs import Graph, is_connected
-from .rules import RuleSet, evaluate, mask_ops
+from .rules import RuleSet, evaluate
 
 MAX_CLASSES_N = 24  # analyze / class partition
 MAX_SOLVE_N = 16  # absorption probabilities and CSV tables
@@ -241,10 +245,18 @@ def _support(g: Graph, reach: np.ndarray):
     return np.concatenate(src), np.concatenate(dst), absorbing
 
 
-def _analyze_support(g: Graph, reach: np.ndarray) -> ChainAnalysis:
-    n = g.n
+def analyze(spec: ChainSpec) -> ChainAnalysis:
+    """Full structural analysis of the induced chain.
+
+    Depends only on the support of the rule set and edge weights (all
+    positive by construction), so any two positive probability assignments
+    give identical results.
+    """
+    n = spec.graph.n
+    if n > MAX_CLASSES_N:
+        raise CapacityError(f"n={n} exceeds the analysis cap of {MAX_CLASSES_N}")
+    src, dst, absorbing = _support(spec.graph, _reach(spec.rules.op_set))
     size = 1 << n
-    src, dst, absorbing = _support(g, reach)
     # The COO-to-CSR conversion merges repeated arcs. csgraph needs that: on
     # rows that hold a target twice its strong-component pass can loop
     # forever or miscount.
@@ -279,19 +291,6 @@ def _analyze_support(g: Graph, reach: np.ndarray) -> ChainAnalysis:
         transient=transient,
         is_absorbing_chain=is_absorbing_chain,
     )
-
-
-def analyze(spec: ChainSpec) -> ChainAnalysis:
-    """Full structural analysis of the induced chain.
-
-    Depends only on the support of the rule set and edge weights (all
-    positive by construction), so any two positive probability assignments
-    give identical results.
-    """
-    n = spec.graph.n
-    if n > MAX_CLASSES_N:
-        raise CapacityError(f"n={n} exceeds the analysis cap of {MAX_CLASSES_N}")
-    return _analyze_support(spec.graph, _reach(spec.rules.op_set))
 
 
 def _lift_exact(values):
@@ -412,10 +411,13 @@ def sweep_absorbing_verdicts(g: Graph) -> np.ndarray:
     """Brute-force absorbing-chain verdict for every nonempty rule set.
 
     Returns a boolean array indexed by the 16-bit rule mask (entry 0 is
-    meaningless). The support digraph of a rule set depends only on its
-    reach table (which edge codes some draw pair moves to which others), so
-    verdicts are computed once per distinct table and fanned out to all
-    65535 masks.
+    meaningless). A verdict is true when the chain has some absorbing state
+    and every state reaches one. The support digraph of a rule set depends
+    only on its reach table (which edge codes some draw pair moves to which
+    others), so the 65535 masks share a few dozen tables. All of them are
+    decided together by one backward reachability fixpoint over a
+    (state, table) boolean matrix, and the verdicts are fanned out to the
+    masks. No strong components are computed here; analyze does that.
     """
     if not is_connected(g):
         raise PreconditionError("interaction graph must be connected")
@@ -437,17 +439,32 @@ def sweep_absorbing_verdicts(g: Graph) -> np.ndarray:
         for l in range(k):
             cross = np.concatenate([cross, cross | word[k, l] | word[l, k]])
         signature = np.concatenate([signature, signature | word[k, k] | cross])
-    _, first, inverse = np.unique(
-        signature[1:], return_index=True, return_inverse=True
-    )
-    verdict_by_sig = np.array(
-        [
-            _analyze_support(g, _reach(mask_ops(int(mask)))).is_absorbing_chain
-            for mask in first + 1
-        ]
-    )
+    tables, inverse = np.unique(signature[1:], return_inverse=True)
+    # can[c, c', t]: table t moves an edge in code c to c'.
+    can = (tables >> (4 * codes[:, None, None] + codes[:, None]) & 1).astype(bool)
+    states = np.arange(1 << g.n, dtype=np.int32)
+    movable = np.zeros((len(states), len(tables)), dtype=bool)
+    moves = []
+    for i, j in g.edges:
+        code = (states >> (i - 1) & 1) | (states >> (j - 1) & 1) << 1
+        for c in range(4):
+            idx = states[code == c]
+            for flip in (1, 2, 3):  # the code bits that change: i, j or both
+                ok = can[c, c ^ flip]
+                movable[idx] |= ok
+                dst = idx ^ ((flip & 1) << (i - 1) | (flip >> 1) << (j - 1))
+                moves.append((idx, dst, ok))
+    # reached[s, t]: state s reaches an absorbing state under table t. It
+    # starts at the absorbing states and only grows, so the in-place passes
+    # stop, and a table with no absorbing state reaches nothing.
+    reached = ~movable
+    before = -1
+    while (count := np.count_nonzero(reached)) != before:
+        before = count
+        for idx, dst, ok in moves:
+            reached[idx] |= reached[dst] & ok
     verdicts = np.zeros(1 << 16, dtype=bool)
-    verdicts[1:] = verdict_by_sig[inverse]
+    verdicts[1:] = reached.all(0)[inverse]
     return verdicts
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import corpus
-from boolgossip import chain, graphs, rules
+from boolgossip import absorbing, chain, graphs, rules
 from boolgossip.errors import CapacityError, ParseError, PreconditionError, SolverError
 
 
@@ -313,6 +313,57 @@ def test_sweep_matches_analyze_sample():
     big = graphs.make("line", chain.MAX_SWEEP_N + 1)
     with pytest.raises(CapacityError):
         chain.sweep_absorbing_verdicts(big)
+
+
+@pytest.fixture(scope="module")
+def table_masks() -> list[int]:
+    """The smallest mask of each distinct reach table. A mask's table is
+    built straight from _PAIR_STEP: some draw pair of the set moves edge
+    code c to c' != c."""
+    codes = np.arange(4)
+    moved = (chain._PAIR_STEP[..., None] == codes) & (codes[:, None] != codes)
+    member = np.arange(1, 1 << 16)[:, None] >> np.arange(16) & 1 == 1
+    pairs = (member[:, :, None] & member[:, None, :]).reshape(-1, 256)
+    tables = pairs.astype(np.float32) @ moved.reshape(256, 16) > 0
+    _, first = np.unique(tables, axis=0, return_index=True)
+    return (first + 1).tolist()
+
+
+# line(7) needs six growing passes of the sweep's backward fixpoint and
+# star(6) four; the others need two or three.
+@pytest.mark.parametrize(
+    "g",
+    [
+        graphs.parse_edge_list("1 2"),
+        graphs.make("line", 3),
+        graphs.make("cycle", 3),
+        graphs.make("cycle", 5),
+        graphs.parse_edge_list("1 2\n2 3\n2 4\n3 4"),
+        graphs.make("star", 6),
+        graphs.make("complete", 5),
+        graphs.make("line", 7),
+    ],
+    ids=["edge", "line3", "cycle3", "cycle5", "paw", "star6", "complete5", "line7"],
+)
+def test_sweep_matches_analyze_per_table(g, table_masks):
+    verdicts = chain.sweep_absorbing_verdicts(g)
+    assert len(table_masks) == 72
+    for mask in table_masks:
+        spec = chain.ChainSpec(g, rules.RuleSet(tuple(sorted(rules.mask_ops(mask)))))
+        assert bool(verdicts[mask]) == chain.analyze(spec).is_absorbing_chain, mask
+
+
+@pytest.mark.parametrize("family", ["line", "complete"])
+def test_sweep_matches_oracle_at_cap(family):
+    g = graphs.make(family, chain.MAX_SWEEP_N)
+    verdicts = chain.sweep_absorbing_verdicts(g)
+    mismatches = [
+        mask
+        for mask in range(1, 1 << 16)
+        if absorbing.is_absorbing_chain_oracle(g, rules.mask_ops(mask))
+        != bool(verdicts[mask])
+    ]
+    assert mismatches == []
 
 
 def test_export_dot_color_counts():
