@@ -11,15 +11,15 @@ still flip both sides (e.g. XOR turns an agreeing pair into zeros).
 
 Communication classes are the strongly connected components of the
 positive-probability transition digraph. The digraph support is computed
-exactly: an arc s -> t exists iff some (edge, op, op) draw maps s to t, so
-no float threshold is ever involved. The chain is absorbing when it has an
-absorbing state and every state reaches one. analyze decides this on the
-class DAG of one rule set; the all-rule-set sweep decides it for every
-reach table at once by one backward reachability pass, with no strong
-components. Absorption probabilities solve (I - Q^T) y = e_start by
-restarted GMRES, where Q and R are the transient-to-transient and
-transient-to-absorbing blocks, and return R^T y only when a residual bound
-certifies its error.
+exactly, each arc once: an arc s -> t exists iff some (edge, op, op) draw
+maps s to t, so no float threshold is ever involved. The chain is absorbing
+when it has an absorbing state and every state reaches one. analyze decides
+this from the strong components of one rule set: every closed class must be
+a single absorbing state. The all-rule-set sweep decides it for every reach
+table at once by one backward reachability pass, with no strong components.
+Absorption probabilities solve (I - Q^T) y = e_start by restarted GMRES,
+where Q and R are the transient-to-transient and transient-to-absorbing
+blocks, and return R^T y only when a residual bound certifies its error.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .errors import CapacityError, ParseError, PreconditionError, SolverError
 from .graphs import Graph, is_connected
 from .rules import RuleSet, evaluate
 
-MAX_CLASSES_N = 24  # analyze / class partition
 MAX_SOLVE_N = 16  # absorption probabilities and CSV tables
 MAX_SWEEP_N = 12  # all-rule-sets sweep
 MAX_DOT_N = 8  # chain diagrams
@@ -46,6 +45,7 @@ MAX_DOT_N = 8  # chain diagrams
 WEIGHT_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 _EXACT_DENOM = 10**6
+ANALYZE_BYTES = 2 << 30  # analyze: estimated peak of its support and class pass
 
 
 def format_state(s: int, n: int) -> str:
@@ -223,26 +223,50 @@ def _reach(op_set) -> np.ndarray:
 
 
 def _support(g: Graph, reach: np.ndarray):
-    """Exact positive-probability support of the chain.
+    """Exact positive-probability support of the chain, as CSR rows.
 
-    Returns (src, dst, absorbing mask): one int32 arc src -> dst != src per
-    edge and reachable non-identity edge outcome, so an arc reached through
-    several edges appears several times; the mask flags states whose every
-    achievable update is the identity.
+    Returns (indptr, indices, absorbing). Row s lists each state t != s
+    that one step can reach from s, once and in ascending order, which is
+    the canonical form csgraph needs. A move flips one node, allowed when
+    any edge at the node allows it, or both ends of one edge. The absorbing
+    mask flags states with no move. Raises CapacityError, before any large
+    allocation, when the estimated peak exceeds ANALYZE_BYTES.
     """
-    size = 1 << g.n
+    n, size = g.n, 1 << g.n
+    codes = np.arange(4)
+    moves = reach[codes, codes ^ np.array([[1], [2], [3]])]  # [flip - 1, code]
+    doubles = bool(moves[2].any())  # a double flip takes a column per edge
+    cols = n + len(g.edges) * doubles
+    # Peak bytes, at most: per (state, column) cell, the move flag, its
+    # inverse and an int32 target while building, and later per arc, at
+    # most one a cell, the int32 target and source classes, a flag and a
+    # leaving class; per state, a few int32 and intp vectors.
+    need = size * (13 * cols + 64)
+    if need > ANALYZE_BYTES:
+        raise CapacityError(
+            f"analysis of n={n} with {cols} moves a state needs about "
+            f"{need / 2**30:.1f} GiB, over the budget of {ANALYZE_BYTES / 2**30:g} GiB"
+        )
     states = np.arange(size, dtype=np.int32)
-    absorbing = np.ones(size, dtype=bool)
-    src, dst = [], []
-    for i, j in g.edges:
+    ok = np.zeros((size, cols), dtype=bool)
+    masks = [1 << k for k in range(n)]
+    for e, (i, j) in enumerate(g.edges):
         code = (states >> (i - 1) & 1) | (states >> (j - 1) & 1) << 1
-        for flip in (1, 2, 3):  # the code bits that change: i, j or both
-            valid = reach[code, code ^ flip]
-            absorbing &= ~valid
-            moved = states[valid]
-            src.append(moved)
-            dst.append(moved ^ ((flip & 1) << (i - 1) | (flip >> 1) << (j - 1)))
-    return np.concatenate(src), np.concatenate(dst), absorbing
+        ok[:, i - 1] |= moves[0].take(code)
+        ok[:, j - 1] |= moves[1].take(code)
+        if doubles:
+            ok[:, n + e] = moves[2].take(code)
+            masks.append(1 << (i - 1) | 1 << (j - 1))
+    counts = np.count_nonzero(ok, axis=1)
+    # Distinct masks give distinct targets. Blocked cells hold the sentinel
+    # 2^n, which sorts after every state, so each sorted row starts with
+    # its targets.
+    targets = states[:, None] ^ np.array(masks, dtype=np.int32)
+    np.copyto(targets, size, where=~ok)
+    del ok
+    targets.sort(axis=1)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return indptr, targets[targets < size], counts == 0
 
 
 def analyze(spec: ChainSpec) -> ChainAnalysis:
@@ -253,36 +277,26 @@ def analyze(spec: ChainSpec) -> ChainAnalysis:
     give identical results.
     """
     n = spec.graph.n
-    if n > MAX_CLASSES_N:
-        raise CapacityError(f"n={n} exceeds the analysis cap of {MAX_CLASSES_N}")
-    src, dst, absorbing = _support(spec.graph, _reach(spec.rules.op_set))
+    indptr, indices, absorbing = _support(spec.graph, _reach(spec.rules.op_set))
     size = 1 << n
-    # The COO-to-CSR conversion merges repeated arcs. csgraph needs that: on
-    # rows that hold a target twice its strong-component pass can loop
-    # forever or miscount.
+    # csgraph casts the data to float64, and for any other dtype copies the
+    # indices too; a read-only broadcast 1.0 costs neither.
     adj = sparse.csr_matrix(
-        (np.ones(len(src), dtype=bool), (src, dst)), shape=(size, size)
+        (np.broadcast_to(1.0, indices.shape), indices, indptr), shape=(size, size)
     )
     class_count, labels = csgraph.connected_components(
         adj, directed=True, connection="strong"
     )
-    comp_src = labels[src]
-    comp_dst = labels[dst]
-    cross = comp_src != comp_dst
-    dag_src = comp_src[cross]
-    dag_dst = comp_dst[cross]
+    dst_class = labels[indices]
+    del adj, indices  # freed before the next array over the arcs
+    src_class = np.repeat(labels, np.diff(indptr))
     closed = np.ones(class_count, dtype=bool)
-    closed[dag_src] = False
+    closed[src_class[src_class != dst_class]] = False
     transient = ~closed[labels]
-
-    reaches = np.zeros(class_count, dtype=bool)
-    reaches[labels[absorbing]] = True
-    while True:
-        grow = reaches[dag_dst] & ~reaches[dag_src]
-        if not grow.any():
-            break
-        reaches[dag_src[grow]] = True
-    is_absorbing_chain = bool(absorbing.any()) and bool(reaches.all())
+    # From every state some path leads into a closed class, and an absorbing
+    # state is a closed class of its own. So every state reaches an absorbing
+    # state exactly when every closed class is one.
+    is_absorbing_chain = bool(np.count_nonzero(closed) == np.count_nonzero(absorbing))
     return ChainAnalysis(
         n=n,
         class_of=labels,
@@ -474,7 +488,7 @@ def export_dot(spec: ChainSpec, analysis: ChainAnalysis) -> str:
     n = spec.graph.n
     if n > MAX_DOT_N:
         raise CapacityError(f"n={n} exceeds the diagram cap of {MAX_DOT_N}")
-    src, dst, _ = _support(spec.graph, _reach(spec.rules.op_set))
+    indptr, indices, _ = _support(spec.graph, _reach(spec.rules.op_set))
     size = 1 << n
     lines = ["digraph chain {", "  node [style=filled];"]
     for s in range(size):
@@ -483,8 +497,9 @@ def export_dot(spec: ChainSpec, analysis: ChainAnalysis) -> str:
         color = f"{hue:.3f} 0.400 0.950"
         shape = ' shape=doublecircle' if analysis.absorbing[s] else ""
         lines.append(f'  "{label}" [fillcolor="{color}"{shape}];')
-    for s, t in sorted(set(zip(src.tolist(), dst.tolist()))):
-        lines.append(f'  "{format_state(s, n)}" -> "{format_state(t, n)}";')
+    for s in range(size):
+        for t in indices[indptr[s] : indptr[s + 1]].tolist():
+            lines.append(f'  "{format_state(s, n)}" -> "{format_state(t, n)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

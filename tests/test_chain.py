@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse import csgraph
 
 import corpus
 from boolgossip import absorbing, chain, graphs, rules
@@ -235,6 +239,54 @@ def test_analyze_matches_transition_rows():
             )
 
 
+def _coo_support_classes(spec):
+    """Reference: the support as one arc per edge and move, repeats included,
+    merged by scipy's COO-to-CSR conversion, and its strong components."""
+    g = spec.graph
+    reach = chain._reach(spec.rules.op_set)
+    size = 1 << g.n
+    states = np.arange(size, dtype=np.int32)
+    src, dst = [], []
+    for i, j in g.edges:
+        code = (states >> (i - 1) & 1) | (states >> (j - 1) & 1) << 1
+        for flip in (1, 2, 3):
+            moved = states[reach[code, code ^ flip]]
+            src.append(moved)
+            dst.append(moved ^ ((flip & 1) << (i - 1) | (flip >> 1) << (j - 1)))
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    adj = sparse.csr_matrix(
+        (np.ones(len(src), dtype=bool), (src, dst)), shape=(size, size)
+    )
+    _, labels = csgraph.connected_components(adj, directed=True, connection="strong")
+    return adj, labels
+
+
+def test_support_rows_are_canonical():
+    rng = random.Random(29)
+    specs = []
+    for _ in range(50):
+        g = corpus.random_connected_graph(rng.randrange(2, 8), rng)
+        ops = sorted(corpus.random_rule_set(rng))
+        specs.append(chain.ChainSpec(g, rules.RuleSet(ops)))
+    specs += [
+        chain.ChainSpec(graphs.make(kind, n), rules.RuleSet((1, 7)))
+        for kind, n in (("cycle", 16), ("complete", 14))
+    ]
+    for spec in specs:
+        indptr, indices, stuck = chain._support(
+            spec.graph, chain._reach(spec.rules.op_set)
+        )
+        for s in range(1 << spec.graph.n):
+            row = indices[indptr[s] : indptr[s + 1]].tolist()
+            assert all(a < b for a, b in zip(row, row[1:]))
+            moves = {t for t, _ in chain.transition_row(spec, s).targets} - {s}
+            assert set(row) == moves
+            assert bool(stuck[s]) == (not row)
+        adj, labels = _coo_support_classes(spec)
+        assert (adj.indptr == indptr).all() and (adj.indices == indices).all()
+        assert chain.analyze(spec).class_of.tobytes() == labels.tobytes()
+
+
 def test_analyze_classes_partition():
     g = graphs.make("cycle", 5)
     analysis = chain.analyze(chain.ChainSpec(g, rules.RuleSet((1, 7))))
@@ -246,9 +298,26 @@ def test_analyze_classes_partition():
 
 
 def test_analyze_caps():
-    big = graphs.make("cycle", chain.MAX_CLASSES_N + 1)
+    big = graphs.make("cycle", 25)
     with pytest.raises(CapacityError):
         chain.analyze(chain.ChainSpec(big, rules.RuleSet((1, 7))))
+
+
+def test_analyze_refuses_before_allocating():
+    # The byte estimate runs first: no state array is made, so a refusal
+    # is quick and small.
+    for kind in ("cycle", "complete"):
+        for ops in ((1, 7), (rules.OP_XOR,)):
+            spec = chain.ChainSpec(graphs.make(kind, 24), rules.RuleSet(ops))
+            tracemalloc.start()
+            start = time.perf_counter()
+            with pytest.raises(CapacityError, match="budget"):
+                chain.analyze(spec)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert elapsed < 1.0
+            assert peak < 1 << 20
 
 
 def test_support_invariance_quick():
