@@ -101,38 +101,36 @@ def absorbing_rows(g: Graph, ops, states: np.ndarray) -> np.ndarray:
     """Vectorized closed-form absorbing test over a (rows, n) 0/1 matrix.
 
     Same classification as is_absorbing_state, applied per row; used by the
-    simulator for early exit. The edges are scanned only when the rule set
-    freezes one of the four classes defined by edge patterns; otherwise
-    (AND/OR, for one) only the constant rows can be absorbing, and those
-    need no edges.
+    simulator for early exit. Only the masks of the classes the rule set
+    freezes are built: the constant rows from one count of ones per row,
+    and the four edge-pattern classes from one scan of the edges, made only
+    when the rule set freezes one of them. Under AND/OR, for one, only the
+    constant rows can be absorbing, and those need no edges.
     """
     ops = frozenset(ops)
     if not ops:
         raise ValueError("rule set must be nonempty")
     states = np.asarray(states)
-    rows = states.shape[0]
-    zero_pair = np.zeros(rows, dtype=bool)
-    one_pair = np.zeros(rows, dtype=bool)
-    if any(ops <= _STABLE_FAMILY[cls] for cls in _EDGE_CLASSES):
+    frozen = {cls for cls, family in _STABLE_FAMILY.items() if ops <= family}
+    ones = np.count_nonzero(states, axis=1)
+    out = np.zeros(states.shape[0], dtype=bool)
+    if StateClass.ALL_ZERO in frozen:
+        out |= ones == 0
+    if StateClass.ALL_ONE in frozen:
+        out |= ones == states.shape[1]
+    edge_frozen = [cls in frozen for cls in _EDGE_CLASSES]
+    if any(edge_frozen):
+        zero_pair = np.zeros(states.shape[0], dtype=np.uint8)
+        one_pair = np.zeros(states.shape[0], dtype=np.uint8)
         for i, j in g.edges:
             a = states[:, i - 1]
             b = states[:, j - 1]
             zero_pair |= (a == 0) & (b == 0)
             one_pair |= (a == 1) & (b == 1)
-    any_one = states.any(axis=1)
-    all_one = states.all(axis=1)
-    out = np.zeros(rows, dtype=bool)
-    cases = (
-        (~any_one, StateClass.ALL_ZERO),
-        (all_one, StateClass.ALL_ONE),
-        (any_one & ~all_one & ~zero_pair & ~one_pair, StateClass.PROPER),
-        (zero_pair & ~one_pair & any_one, StateClass.ZERO_PAIR_ONLY),
-        (one_pair & ~zero_pair & ~all_one, StateClass.ONE_PAIR_ONLY),
-        (zero_pair & one_pair, StateClass.BOTH_PAIRS),
-    )
-    for mask, cls in cases:
-        if ops <= _STABLE_FAMILY[cls]:
-            out |= mask
+        # A row that holds both values is in _EDGE_CLASSES[2 * one_pair +
+        # zero_pair]; a row with no 0 or no 1 is constant.
+        mixed = (ones > 0) & (ones < states.shape[1])
+        out |= mixed & np.array(edge_frozen).reshape(2, 2)[one_pair, zero_pair]
     return out
 
 

@@ -89,11 +89,19 @@ class ChainSpec:
             raise ValueError(f"{m} edges but {len(weights)} edge weights")
         if any(w <= 0 for w in weights):
             raise ValueError(f"edge weights must be positive: {weights}")
-        if not math.isclose(sum(map(float, weights)), 1.0, abs_tol=WEIGHT_TOL):
-            raise ValueError(f"edge weights must sum to 1: {weights}")
         object.__setattr__(self, "edge_weights", weights)
+        if not math.isclose(math.fsum(self._float_weights), 1.0, abs_tol=WEIGHT_TOL):
+            raise ValueError(f"edge weights must sum to 1: {weights}")
 
-    # Not a dataclass field: it stays out of ==, hash and repr.
+    # Not dataclass fields: they stay out of ==, hash and repr.
+    @cached_property
+    def _float_weights(self) -> np.ndarray:
+        """The edge weights as one read-only float64 array, converted once."""
+        weights = self.edge_weights
+        floats = np.fromiter(map(float, weights), dtype=np.float64, count=len(weights))
+        floats.flags.writeable = False
+        return floats
+
     @cached_property
     def _steps(self) -> tuple[int | None, tuple]:
         """(D, per_edge), the one-step outcomes that transition_row sums.
@@ -111,7 +119,7 @@ class ChainSpec:
         probs = _lift_exact(self.rules.probs)
         if weights is None or probs is None:
             denom = None
-            weights = tuple(map(float, self.edge_weights))
+            weights = self._float_weights.tolist()
             probs = tuple(map(float, self.rules.probs))
         else:
             dw = math.lcm(*(w.denominator for w in weights))

@@ -15,15 +15,20 @@ the horizon sample always catches it. Absorbed rows are tallied by sorting
 their packed bytes, one Python int per distinct absorbed state.
 
 An edge or operator is the count of cumulative-weight bounds at or below
-its uniform draw: summed comparisons for up to 15 entries, a guide table
-for more. The alive rounds' states are one compacted array, so a step is
-one flat gather of both ends of every round's edge, one table lookup and
-one scatter. Ones are counted only at sample points, as the alive rows'
-ones plus a running total over the retired rows.
+the uniform of its Philox word, read from the word itself by integer
+thresholds: summed comparisons for up to 15 entries, a guide table for
+more. Picks are small unsigned integers, and the two operator picks make
+one index into a uint16 table of operator pairs. The alive rounds' states
+are one compacted array, so a step is one flat gather of both ends of
+every round's edge, one table lookup and one scatter. Ones are counted
+only at sample points, as the alive rows' ones plus a running total over
+the retired rows.
 
 The step draws of a sample interval are made in blocks of a bounded number
-of counters, so memory stays flat however long the interval is. Long runs
-log a progress line at most every ten seconds.
+of counters, so memory stays flat however long the interval is. A counter
+costs 32 B while its block is drawn (the four Philox words) and less
+after: the picks, the operator pair (2 B) and the two end slots (16 B).
+Long runs log a progress line at most every ten seconds.
 """
 
 from __future__ import annotations
@@ -38,15 +43,24 @@ from .absorbing import absorbing_rows
 from .chain import _PAIR_STEP, ChainSpec
 from .errors import PreconditionError
 from .meanfield import KIND_EMPIRICAL, DensityTrajectory
-from .philox import block, uniforms
+from .philox import _SHIFT11, block, uniforms
 
 TAG_INIT = 0
 TAG_STEP = 1
 
-# Step draws are made in blocks of at most this many counters, about 64 B
-# each while a block is live, so memory does not grow with sample_every.
-# The perfbench intervals (at most 400k counters) fit in one block.
-_DRAW_COUNTERS = 1 << 19
+# Step draws are made in blocks of at most this many counters, so memory
+# does not grow with sample_every. A counter costs 32 B while its block is
+# drawn (its four Philox words), so a block peaks near 4 MB. Timed on a
+# 2-vCPU Xeon (glibc) over blocks of one size, at 800 rounds on
+# complete(100) and 100k on cycle(4), the draws and picks cost the same
+# per counter from 2^16 to 2^18 counters a block, with under one minor
+# page fault per 1000 counters. At 2^19 they cost a third to a half more:
+# malloc returns each block's 16 MB of words to the system and faults them
+# in again (7.5 faults per 1000 counters). A block has a fixed cost of
+# about 50 us, about 1% of a block of 2^17 counters. At 2000 rounds on
+# complete(1000), whose edge tables (16 MB) are gathered from at random,
+# 2^17 to 2^19 cost the same and 2^16 more.
+_DRAW_COUNTERS = 1 << 17
 # Least time between two progress lines (INFO, logger boolgossip.simulate).
 _LOG_SECONDS = 10.0
 
@@ -138,56 +152,64 @@ def _initial_states(config: SimConfig) -> np.ndarray:
 
 
 # Tables of at most this many entries are picked by summed comparisons,
-# one pass over the draws per bound; larger ones by a guide table, which
-# costs about the same at any size. Over 400k draws on a 2-vCPU Xeon the
-# summed pick takes about 0.8 ms at 2 entries and 9 ms at 15, the guide
-# table 8 to 11 ms at any size.
+# one pass over the words per bound; larger ones by a guide table, which
+# costs about the same at any size. Over 400k words on a 2-vCPU Xeon the
+# summed pick takes about 0.8 ms at 2 entries and 3.3 ms at 15 (3.9 ms at
+# 17), the guide table 3.2 to 4.5 ms up to 4950 entries and 7.5 ms at
+# 499500, whose tables take 8 MB.
 _SUMMED_MAX = 15
 
 
 def _picker(weights):
-    """The draw of an index from a weight table, as a function of uniforms.
+    """The draw of an index from a weight table, as a function of Philox words.
 
-    It maps u to the count of the bounds cum[:-1] that are <= u, where cum
-    is the float cumsum of the weights. That is min(searchsorted(cum, u,
-    "right"), m - 1), so a cumsum that ends below 1 still gives the last
-    entry. Small tables sum u >= b over the bounds. Larger tables take a
-    candidate from a guide table of at least 2m equal cells (Chen and
-    Asau), whose entry is the index at the left end of the cell, so the
-    candidate is never too high. It is kept when u is below its upper
-    bound, moved up by one when not, and the draws still unresolved go to
-    searchsorted.
+    A word w stands for the uniform u = (w >> 11) * 2^-53, and the pick is
+    the count of the bounds cum[:-1] that are <= u, where cum is the float
+    cumsum of the weights. That is min(searchsorted(cum, u, "right"),
+    m - 1), so a cumsum that ends below 1 still gives the last entry. The
+    weights are positive, so each bound b is, and u >= b holds exactly
+    when w > last_b = (K_b << 11) - 1 with K_b = ceil(b * 2^53) >= 1; a
+    bound with K_b >= 2^53 never fires, and clamping K_b to 2^53 makes its
+    last_b 2^64 - 1, which no word passes. Small tables sum w > last_b over
+    the bounds into uint8. Larger tables take a candidate from a guide
+    table of 2^L >= 2m equal cells (Chen and Asau), read at the top L bits
+    of the word, whose entry is the count of bounds the cell's first word
+    passes, so the candidate is never too high. It is kept when w does not
+    pass its bound, moved up by one when it does, and the words still
+    unresolved go to searchsorted. Picks come in the smallest unsigned type
+    that holds m - 1.
     """
-    bounds = np.cumsum([float(w) for w in weights])[:-1]
-    if len(bounds) < _SUMMED_MAX:
+    bounds = np.cumsum(np.asarray(weights, dtype=np.float64))[:-1]
+    k = np.minimum(np.ceil(bounds * 2.0**53), 2.0**53).astype(np.uint64)
+    last = (k << _SHIFT11) - np.uint64(1)
+    if len(last) < _SUMMED_MAX:
 
-        def pick(u):
-            idx = np.zeros(u.shape, dtype=np.intp)
-            for b in bounds:
-                idx += u >= b
+        def pick(words):
+            idx = np.zeros(words.shape, dtype=np.uint8)
+            for b in last:
+                idx += words > b
             return idx
 
         return pick
-    cells = 1 << (2 * len(bounds) + 1).bit_length()
-    guide = np.searchsorted(bounds, np.arange(cells) / cells, side="right")
-    # int32 cells halve the table (8 MB to 4 MB at 499500 edges); the
-    # gathered candidates are cast back so the later gathers index by intp.
-    if len(bounds) < 2**31:
-        guide = guide.astype(np.int32)
-    upper = np.append(bounds, np.inf)
+    bits = (2 * len(last) + 1).bit_length()
+    shift = np.uint64(64 - bits)
+    starts = np.arange(1 << bits, dtype=np.uint64) << shift
+    guide = np.searchsorted(last, starts, side="left")
+    guide = guide.astype(np.min_scalar_type(len(last)))
+    upper = np.append(last, np.uint64(2**64 - 1))
 
-    def pick(u):
-        flat_u = u.reshape(-1)
-        # u * cells is exact (cells is a power of two), so the cell holds u.
-        idx = guide[(flat_u * cells).astype(np.intp)].astype(np.intp)
-        miss = np.flatnonzero(flat_u >= upper[idx])
+    def pick(words):
+        flat = words.reshape(-1)
+        # The cells, below 2^bits, read as intp so that take needs no copy.
+        idx = guide.take((flat >> shift).view(np.intp))
+        miss = np.flatnonzero(flat > upper.take(idx))
         if len(miss):
-            late_u = flat_u[miss]
+            late_w = flat[miss]
             moved = idx[miss] + 1
-            late = late_u >= upper[moved]
-            moved[late] = np.searchsorted(bounds, late_u[late], side="right")
+            late = late_w > upper[moved]
+            moved[late] = np.searchsorted(last, late_w[late], side="left")
             idx[miss] = moved
-        return idx.reshape(u.shape)
+        return idx.reshape(words.shape)
 
     return pick
 
@@ -210,10 +232,14 @@ def run(config: SimConfig) -> SimResult:
     # copies whole pairs.
     ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2) - 1
     ends = ends.view(np.dtype((np.void, 2 * ends.itemsize))).reshape(-1)
-    edge_pick = _picker(spec.edge_weights)
+    edge_pick = _picker(spec._float_weights)
     op_pick = _picker(spec.rules.probs)
-    ops = np.array(spec.rules.ops, dtype=np.intp)
-    op_i, op_j = ops << 6, ops << 2
+    # pairs[k * m + l]: the operator bits of _STEP_BITS's index when the
+    # ends draw operators k and l. At most 16 operators, so k * m + l and
+    # the picks fit in uint8.
+    ops = np.array(spec.rules.ops, dtype=np.uint16)
+    m_ops = np.uint8(len(ops))
+    pairs = (ops[:, None] << 6 | ops << 2).reshape(-1)
     sample = config.sample_every if config.sample_every is not None else n
     ts = list(range(0, config.horizon + 1, sample))
     if ts[-1] != config.horizon:
@@ -253,18 +279,25 @@ def run(config: SimConfig) -> SimResult:
             alive.astype(np.uint64),
             np.arange(t0, t1, dtype=np.uint64)[:, None],
         )[:3]
-        pair = op_i.take(op_pick(uniforms(w1))) | op_j.take(op_pick(uniforms(w2)))
-        del w1, w2
+        pick = op_pick(w1)
+        del w1
+        pick *= m_ops
+        pick += op_pick(w2)
+        del w2
+        pair = pairs.take(pick)
+        del pick
+        edge = edge_pick(w0)
+        del w0
         # slots[k, r] holds the flat indices in live of the two ends of the
         # edge that round r updates at step k.
-        slots = ends.take(edge_pick(uniforms(w0))).view(np.intp)
-        del w0
+        slots = ends.take(edge).view(np.intp)
+        del edge
         slots += np.repeat(np.arange(len(alive)) * n, 2)
         slots = slots.reshape(t1 - t0, len(alive), 2)
         flat = live.reshape(-1)
         for k in range(t1 - t0):
             bits = flat[slots[k]]
-            new = _STEP_BITS[pair[k] | (bits[:, 0] | bits[:, 1] << 1)]
+            new = _STEP_BITS.take(pair[k] | (bits[:, 0] | bits[:, 1] << 1))
             flat[slots[k]] = new.view(np.uint8).reshape(-1, 2)
 
     def density():

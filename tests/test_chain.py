@@ -195,6 +195,10 @@ def test_chain_spec_table_keeps_equality_and_hash():
     assert spec == fresh and fresh == spec
     assert hash(spec) == hash(fresh)
     assert len({spec, fresh}) == 1
+    # The float weights, converted once when the spec is built.
+    assert "_float_weights" in vars(fresh) and "_float_weights" not in repr(fresh)
+    assert fresh._float_weights.tolist() == [float(w) for w in fresh.edge_weights]
+    assert not fresh._float_weights.flags.writeable
 
 
 def test_analyze_matches_transition_rows():

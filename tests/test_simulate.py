@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boolgossip import chain, graphs, rules, simulate
+from boolgossip import chain, graphs, philox, rules, simulate
 from boolgossip.errors import PreconditionError
 
 
@@ -155,8 +155,8 @@ def test_seeded_streams_weighted_and_clamped(monkeypatch):
     # Recorded outputs for the pick paths the other stream tests leave out:
     # unequal Fraction edge weights with three or four operators of unequal
     # probability, and uniform weights whose float cumsum ends below 1, with
-    # one draw in eight forced into the top four doubles below 1 so that
-    # edge and operator picks land past the last bound and are clamped.
+    # one step word in eight forced into the top four uniforms below 1 so
+    # that edge and operator picks land past the last bound and are clamped.
     g = graphs.make("complete", 5)
     weights = tuple(Fraction(k, 55) for k in range(1, 11))
     rounds = 64
@@ -178,14 +178,22 @@ def test_seeded_streams_weighted_and_clamped(monkeypatch):
         assert result.absorption_counts == absorbed
         assert result.consensus_fraction == consensus
 
-    plain = simulate.uniforms
+    plain = simulate.block
 
-    def forced(words):
-        top = (words & np.uint64(7)) == 0
-        offset = (words >> np.uint64(3) & np.uint64(3)).astype(np.float64)
-        return np.where(top, 1.0 - 2.0**-53 * (1.0 + offset), plain(words))
+    def forced(seed, tag, major, minor):
+        # The word (2**53 - 1 - offset) << 11 has the uniform
+        # 1 - 2**-53 * (1 + offset).
+        words = plain(seed, tag, major, minor)
+        if tag != simulate.TAG_STEP:
+            return words
+        out = []
+        for w in words:
+            top = (w & np.uint64(7)) == 0
+            offset = w >> np.uint64(3) & np.uint64(3)
+            out.append(np.where(top, (np.uint64(2**53 - 1) - offset) << np.uint64(11), w))
+        return tuple(out)
 
-    monkeypatch.setattr(simulate, "uniforms", forced)
+    monkeypatch.setattr(simulate, "block", forced)
     spec = _spec(graphs.make("complete", 8), (1, 2, 6, 7, 8, 0xB, 0xD))
     assert np.cumsum([float(w) for w in spec.edge_weights])[-1] == 1 - 3 * 2.0**-53
     assert np.cumsum([float(p) for p in spec.rules.probs])[-1] == 1 - 2 * 2.0**-53
@@ -230,7 +238,8 @@ def test_draw_memory_bounded_by_block_size():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    # A counter costs about 33 B while its block is drawn (its four words).
+    assert peak < 48 * simulate._DRAW_COUNTERS
     default = simulate.run(simulate.SimConfig(spec, **base))
     assert single.density_mean.steps == (0, 5000)
     assert single.density_mean.density[-1] == default.density_mean.density[-1]
@@ -253,10 +262,13 @@ def test_progress_logging(caplog, monkeypatch):
 
 
 def test_pick_matches_searchsorted():
-    # Reference: the clamped search the picks replaced. Draws sit at every
-    # bound of the float cumsum, one double to either side of it, at 0 and
-    # at the largest uniform, 1 - 2**-53.
+    # Reference: the clamped search over uniforms that the word picks
+    # replaced. Words sit at the first word K << 11 of each bound b < 1
+    # (K = ceil(b * 2**53)), one word below it, at the top of its block of
+    # 2**11 words, at 0, at 2**64 - 1 and at random. The last table has
+    # bounds at and past 1, which no word reaches.
     rng = np.random.default_rng(9)
+    top = np.uint64(2**64 - 1)
     for m in (1, 2, 3, 15, 16, 17, 4950, 499500):
         skewed = np.full(m, 1e-9 / m)
         skewed[m // 3] = 1.0 - skewed[:-1].sum()
@@ -264,27 +276,30 @@ def test_pick_matches_searchsorted():
             (Fraction(1, m),) * m,
             tuple(rng.random(m) / m * 2),
             tuple(skewed),
+            (2.0 / m,) * m,
         )
         for weights in tables:
             cum = np.cumsum([float(w) for w in weights])
-            u = np.concatenate(
+            k = np.ceil(cum[cum < 1.0] * 2.0**53).astype(np.uint64)
+            first = k << np.uint64(11)
+            words = np.concatenate(
                 (
-                    cum,
-                    np.nextafter(cum, 0.0),
-                    np.nextafter(cum, 2.0),
-                    [0.0, 1.0 - 2.0**-53],
-                    rng.random(1000),
+                    first,
+                    first - np.uint64(1),
+                    first | np.uint64(2**11 - 1),
+                    np.array([0, top], dtype=np.uint64),
+                    rng.integers(0, top, 1000, dtype=np.uint64, endpoint=True),
                 )
             )
-            u = u[(u >= 0.0) & (u < 1.0)]
+            u = philox.uniforms(words)
             expected = np.minimum(np.searchsorted(cum, u, side="right"), m - 1)
             pick = simulate._picker(weights)
-            assert (pick(u) == expected).all()
-            cut = len(u) // 2 * 2
-            grid = pick(u[:cut].reshape(2, -1))
+            assert (pick(words) == expected).all()
+            cut = len(words) // 2 * 2
+            grid = pick(words[:cut].reshape(2, -1))
             assert grid.shape == (2, cut // 2)
             assert (grid.reshape(-1) == expected[:cut]).all()
-            # A draw array that is not C-ordered gives the same picks.
-            grid = pick(np.asfortranarray(u[:cut].reshape(2, -1)))
+            # A word array that is not C-ordered gives the same picks.
+            grid = pick(np.asfortranarray(words[:cut].reshape(2, -1)))
             assert (grid.reshape(-1) == expected[:cut]).all()
-            assert (pick(u[::-1]) == expected[::-1]).all()
+            assert (pick(words[::-1]) == expected[::-1]).all()
