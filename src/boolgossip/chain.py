@@ -24,6 +24,7 @@ blocks, and return R^T y only when a residual bound certifies its error.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -379,34 +380,33 @@ def absorption_probabilities(spec: ChainSpec, start: int) -> dict[int, float]:
         raise PreconditionError(
             f"start state {format_state(start, n)} is absorbing, not transient"
         )
-    transient_ids = np.nonzero(analysis.transient)[0]
-    absorbing_ids = np.nonzero(analysis.absorbing)[0]
-    t_pos = {int(s): idx for idx, s in enumerate(transient_ids)}
-    a_pos = {int(s): idx for idx, s in enumerate(absorbing_ids)}
-    q_data, q_rows, q_cols = [], [], []
-    r_data, r_rows, r_cols = [], [], []
-    for row_idx, s in enumerate(t_pos):
-        row = transition_row(spec, s)
-        for t, p in row.targets:
-            if t in t_pos:
-                q_rows.append(row_idx)
-                q_cols.append(t_pos[t])
-                q_data.append(p)
-            elif t in a_pos:
-                r_rows.append(row_idx)
-                r_cols.append(a_pos[t])
-                r_data.append(p)
-            # Targets that are neither transient nor absorbing would sit in a
-            # closed non-absorbing class, impossible in an absorbing chain.
-    nt, na = len(t_pos), len(a_pos)
-    q_t = sparse.csr_matrix(
-        (q_data, (q_cols, q_rows)), shape=(nt, nt), dtype=np.float64
-    )
-    r_mat = sparse.csr_matrix(
-        (r_data, (r_rows, r_cols)), shape=(nt, na), dtype=np.float64
-    )
+    transient_ids = np.flatnonzero(analysis.transient)
+    absorbing_ids = np.flatnonzero(analysis.absorbing)
+    nt, na = len(transient_ids), len(absorbing_ids)
+    counts = np.empty(nt, dtype=np.int32)
+
+    def rows():
+        for row_idx, s in enumerate(transient_ids.tolist()):
+            row = transition_row(spec, s).targets
+            counts[row_idx] = len(row)
+            yield row
+
+    flat = itertools.chain.from_iterable  # (target, probability) pairs as floats
+    pairs = np.fromiter(flat(flat(rows())), dtype=np.float64).reshape(-1, 2)
+    # Row col[t] of qr_t is t's index among the transient states, or nt plus
+    # its index among the absorbing ones.
+    # Targets that are neither transient nor absorbing would sit in a
+    # closed non-absorbing class, impossible in an absorbing chain.
+    col = np.zeros(1 << n, dtype=np.int32)
+    col[transient_ids] = np.arange(nt)
+    col[absorbing_ids] = np.arange(nt, nt + na)
+    source = np.repeat(np.arange(nt, dtype=np.int32), counts)
+    target = col[pairs[:, 0].astype(np.int32)]
+    qr_t = sparse.csr_matrix((pairs[:, 1], (target, source)), shape=(nt + na, nt))
+    del pairs, source, target  # freed before GMRES allocates its Krylov basis
+    q_t, r_t = qr_t[:nt], qr_t[nt:]
     e = np.zeros(nt)
-    e[t_pos[start]] = 1.0
+    e[np.searchsorted(transient_ids, start)] = 1.0
     y, _ = gmres(
         sparse.identity(nt, format="csr") - q_t, e, rtol=1e-14, atol=0.0, restart=100
     )
@@ -425,7 +425,7 @@ def absorption_probabilities(spec: ChainSpec, start: int) -> dict[int, float]:
             f"absorption solve not certified: error bound {bound:.3e} "
             f"exceeds {RESIDUAL_TOL:g}"
         )
-    probs = r_mat.T @ y
+    probs = r_t @ y
     return {int(s): float(p) for s, p in zip(absorbing_ids, probs)}
 
 

@@ -60,10 +60,7 @@ def _cmd_classes(args, g: graphs.Graph) -> int:
     ruleset = _rule_set(args)
     shape = graphs.classify_shape(g)
     analysis = chain.analyze(chain.ChainSpec(g, ruleset))
-    print(
-        f"graph: n={g.n}, {len(g.edges)} edges, shape {shape.tag.value}"
-        + ("" if shape.connected else " (disconnected)")
-    )
+    print(f"graph: n={g.n}, {len(g.edges)} edges, shape {shape.tag.value}")
     if ruleset.op_set == rules.AND_OR:
         predicted = andor.predict_chi(g)
         verdict = "MATCH" if predicted == analysis.class_count else "MISMATCH"
@@ -91,6 +88,8 @@ def _oracle_reason(g: graphs.Graph, op_set) -> str:
         if graphs.has_odd_cycle(g):
             return "rules are parity-sensitive and an odd cycle is present"
         return "rules are parity-sensitive and the graph has no odd cycle"
+    if op_set <= rules.NEIGHBOR_COPY:
+        return "rules only copy the neighbour, so one dissenter never vanishes"
     inside = []
     if op_set <= rules.ZERO_STABLE:
         inside.append("the all-zeros-stable family")
@@ -205,15 +204,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, graph=True, rule_args=True):
-        if graph:
-            p.add_argument(
-                "--graph",
-                required=True,
-                help="edge-list file or make:kind:n (make:regular:n:d)",
-            )
-        if rule_args:
+    def add_common(p, with_rules=True, with_probs=True):
+        p.add_argument(
+            "--graph",
+            required=True,
+            help="edge-list file or make:kind:n (make:regular:n:d)",
+        )
+        if with_rules:
             p.add_argument("--rules", help="comma-separated hex digits, e.g. 1,7")
+        if with_probs:
             p.add_argument("--probs", help="comma-separated probabilities")
         p.add_argument("--seed", type=int, help="RNG seed (printed if generated)")
         p.add_argument("--out", help="write output to this file instead of stdout")
@@ -245,10 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write output to this file instead of stdout")
 
     p = sub.add_parser("sweep-rules", help="oracle vs brute force over all rule sets")
-    add_common(p, rule_args=False)
+    add_common(p, with_rules=False, with_probs=False)
 
     p = sub.add_parser("export-dot", help="DOT diagram of the graph or its chain")
-    add_common(p)
+    add_common(p, with_probs=False)
     return parser
 
 

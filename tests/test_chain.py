@@ -359,6 +359,56 @@ def test_absorption_probabilities_sum_and_residual():
         assert all(p >= 0 for p in dist.values())
 
 
+def _exact_absorption(spec):
+    # Fraction rows built from step_pair, then Gauss-Jordan elimination on
+    # [I - Q | R]: row s of the result is the exact absorption law from s.
+    size = 1 << spec.graph.n
+    rows = []
+    for s in range(size):
+        row = {}
+        for w, edge in zip(spec.edge_weights, spec.graph.edges):
+            for k, pk in zip(spec.rules.ops, spec.rules.probs):
+                for l, pl in zip(spec.rules.ops, spec.rules.probs):
+                    t = chain.step_pair(s, edge, k, l)
+                    row[t] = row.get(t, 0) + Fraction(w) * Fraction(pk) * Fraction(pl)
+        rows.append(row)
+    absorbing_ids = [s for s in range(size) if rows[s].get(s) == 1]
+    transient_ids = [s for s in range(size) if rows[s].get(s) != 1]
+    a = [
+        [int(s == t) - rows[s].get(t, 0) for t in transient_ids]
+        + [rows[s].get(t, 0) for t in absorbing_ids]
+        for s in transient_ids
+    ]
+    nt = len(transient_ids)
+    for c in range(nt):
+        pivot = next(r for r in range(c, nt) if a[r][c] != 0)
+        a[c], a[pivot] = a[pivot], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(nt):
+            if r != c and a[r][c] != 0:
+                a[r] = [x - a[r][c] * y for x, y in zip(a[r], a[c])]
+    return {
+        s: dict(zip(absorbing_ids, a[idx][nt:])) for idx, s in enumerate(transient_ids)
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, ops, absorbing_count", [("star", (3, 0xB), 17), ("line", (2, 3), 13)]
+)
+def test_absorption_probabilities_many_absorbing_states(kind, ops, absorbing_count):
+    # R has many columns here, and the absorbing states sit among the
+    # transient ones in word order.
+    spec = chain.ChainSpec(
+        graphs.make(kind, 5), rules.RuleSet(ops, (Fraction(1, 3), Fraction(2, 3)))
+    )
+    exact = _exact_absorption(spec)
+    assert len(next(iter(exact.values()))) == absorbing_count
+    for start, law in exact.items():
+        dist = chain.absorption_probabilities(spec, start)
+        assert dist.keys() == law.keys()
+        assert all(abs(dist[t] - p) <= 1e-12 for t, p in law.items())
+
+
 def test_absorption_probabilities_rejections():
     g = graphs.make("cycle", 4)
     spec = chain.ChainSpec(g, rules.RuleSet((1, 7)))

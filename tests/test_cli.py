@@ -42,6 +42,19 @@ def test_absorbing_verdict_and_agreement(capsys):
     assert "brute force agrees" in out
 
 
+@pytest.mark.parametrize("ruleset", ["4", "5", "4,5"])
+def test_absorbing_reason_for_neighbour_copy_rules(capsys, ruleset):
+    # These sets lie inside a stability family, yet the oracle rejects them
+    # for copying the neighbour; the reason must name that branch.
+    rc = cli.main(["absorbing", "--graph", "make:cycle:5", "--rules", ruleset])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.startswith(
+        "NOT ABSORBING (rules only copy the neighbour, so one dissenter never "
+        "vanishes); brute force agrees"
+    )
+
+
 def test_absorb_prob_output(capsys, tmp_path):
     rc = cli.main(
         [
@@ -178,6 +191,16 @@ def test_export_dot_modes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "doublecircle" in out
+
+
+def test_export_dot_rejects_probs(capsys):
+    # The diagram depends only on the rule set's support, so it takes no
+    # probabilities.
+    argv = ["export-dot", "--graph", "make:cycle:4", "--rules", "1,7", "--probs", "0.3"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --probs 0.3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
