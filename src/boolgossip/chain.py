@@ -231,21 +231,58 @@ def _reach(op_set) -> np.ndarray:
     return reach
 
 
+def _has_double_flips(reach: np.ndarray) -> bool:
+    codes = np.arange(4)
+    return bool(reach[codes, codes ^ 3].any())
+
+
+def _moves(g: Graph, reach: np.ndarray):
+    """The moves that a (4, 4, T) stack of reach tables allows at each state.
+
+    Returns (ok, masks): column k flips the node bits of masks[k], and
+    ok[s, k, t] says that table t allows it at state s. Column v - 1 flips
+    node v, which holding b may flip when some neighbour holds a b' with
+    reach[c, c ^ 1], c = b | b' << 1. Both ends of an edge draw from one
+    rule set, so the moves of its higher end are those of its lower end
+    with the code bits swapped, and this covers v at either end. When some
+    table flips both ends of an edge at once, one column per edge follows.
+    """
+    n, size = g.n, 1 << g.n
+    codes = np.arange(4)
+    single = reach[codes, codes ^ 1]
+    # flips[b | has0 << 1 | has1 << 2]: a node holding b may flip, given
+    # whether some neighbour holds 0 and whether some holds 1.
+    idx = np.arange(8)
+    b, has0, has1 = idx & 1, idx[:, None] >> 1 & 1 == 1, idx[:, None] >> 2 == 1
+    flips = has0 & single[b] | has1 & single[b | 2]
+    pairs = g.edges if _has_double_flips(reach) else ()
+    masks = [1 << v for v in range(n)] + [1 << (i - 1) | 1 << (j - 1) for i, j in pairs]
+    states = np.arange(size, dtype=np.int32)
+    ok = np.empty((size, len(masks), reach.shape[2]), dtype=bool)
+    for v in range(n):
+        nb = sum(1 << (u - 1) for u in g.neighbors(v + 1))
+        key = (states >> v & 1).astype(np.uint8)
+        key |= (~states & nb != 0).view(np.uint8) << 1
+        key |= (states & nb != 0).view(np.uint8) << 2
+        ok[:, v] = flips[key]
+    double = reach[codes, codes ^ 3]
+    for e, (i, j) in enumerate(pairs):
+        code = (states >> (i - 1) & 1) | (states >> (j - 1) & 1) << 1
+        ok[:, n + e] = double[code]
+    return ok, np.array(masks, dtype=np.int32)
+
+
 def _support(g: Graph, reach: np.ndarray):
     """Exact positive-probability support of the chain, as CSR rows.
 
     Returns (indptr, indices, absorbing). Row s lists each state t != s
     that one step can reach from s, once and in ascending order, which is
-    the canonical form csgraph needs. A move flips one node, allowed when
-    any edge at the node allows it, or both ends of one edge. The absorbing
-    mask flags states with no move. Raises CapacityError, before any large
-    allocation, when the estimated peak exceeds ANALYZE_BYTES.
+    the canonical form csgraph needs. The moves come from _moves. The
+    absorbing mask flags states with no move. Raises CapacityError, before
+    any large allocation, when the estimated peak exceeds ANALYZE_BYTES.
     """
     n, size = g.n, 1 << g.n
-    codes = np.arange(4)
-    moves = reach[codes, codes ^ np.array([[1], [2], [3]])]  # [flip - 1, code]
-    doubles = bool(moves[2].any())  # a double flip takes a column per edge
-    cols = n + len(g.edges) * doubles
+    cols = n + len(g.edges) * _has_double_flips(reach)
     # Peak bytes, at most: per (state, column) cell, the move flag, its
     # inverse and an int32 target while building, and later per arc, at
     # most one a cell, the int32 target and source classes, a flag and a
@@ -256,21 +293,13 @@ def _support(g: Graph, reach: np.ndarray):
             f"analysis of n={n} with {cols} moves a state needs about "
             f"{need / 2**30:.1f} GiB, over the budget of {ANALYZE_BYTES / 2**30:g} GiB"
         )
-    states = np.arange(size, dtype=np.int32)
-    ok = np.zeros((size, cols), dtype=bool)
-    masks = [1 << k for k in range(n)]
-    for e, (i, j) in enumerate(g.edges):
-        code = (states >> (i - 1) & 1) | (states >> (j - 1) & 1) << 1
-        ok[:, i - 1] |= moves[0].take(code)
-        ok[:, j - 1] |= moves[1].take(code)
-        if doubles:
-            ok[:, n + e] = moves[2].take(code)
-            masks.append(1 << (i - 1) | 1 << (j - 1))
+    ok, masks = _moves(g, reach[..., None])
+    ok = ok[..., 0]
     counts = np.count_nonzero(ok, axis=1)
     # Distinct masks give distinct targets. Blocked cells hold the sentinel
     # 2^n, which sorts after every state, so each sorted row starts with
     # its targets.
-    targets = states[:, None] ^ np.array(masks, dtype=np.int32)
+    targets = np.arange(size, dtype=np.int32)[:, None] ^ masks
     np.copyto(targets, size, where=~ok)
     del ok
     targets.sort(axis=1)
@@ -373,6 +402,8 @@ def absorption_probabilities(spec: ChainSpec, start: int) -> dict[int, float]:
     n = spec.graph.n
     if n > MAX_SOLVE_N:
         raise CapacityError(f"n={n} exceeds the solver cap of {MAX_SOLVE_N}")
+    if not 0 <= start < 1 << n:
+        raise ValueError(f"state {start} out of range for n={n}")
     analysis = analyze(spec)
     if not analysis.is_absorbing_chain:
         raise PreconditionError("chain is not absorbing")
@@ -462,29 +493,19 @@ def sweep_absorbing_verdicts(g: Graph) -> np.ndarray:
             cross = np.concatenate([cross, cross | word[k, l] | word[l, k]])
         signature = np.concatenate([signature, signature | word[k, k] | cross])
     tables, inverse = np.unique(signature[1:], return_inverse=True)
-    # can[c, c', t]: table t moves an edge in code c to c'.
-    can = (tables >> (4 * codes[:, None, None] + codes[:, None]) & 1).astype(bool)
+    # reach[c, c', t]: table t moves an edge in code c to c'.
+    reach = (tables >> (4 * codes[:, None, None] + codes[:, None]) & 1).astype(bool)
+    ok, masks = _moves(g, reach)
     states = np.arange(1 << g.n, dtype=np.int32)
-    movable = np.zeros((len(states), len(tables)), dtype=bool)
-    moves = []
-    for i, j in g.edges:
-        code = (states >> (i - 1) & 1) | (states >> (j - 1) & 1) << 1
-        for c in range(4):
-            idx = states[code == c]
-            for flip in (1, 2, 3):  # the code bits that change: i, j or both
-                ok = can[c, c ^ flip]
-                movable[idx] |= ok
-                dst = idx ^ ((flip & 1) << (i - 1) | (flip >> 1) << (j - 1))
-                moves.append((idx, dst, ok))
     # reached[s, t]: state s reaches an absorbing state under table t. It
     # starts at the absorbing states and only grows, so the in-place passes
     # stop, and a table with no absorbing state reaches nothing.
-    reached = ~movable
+    reached = ~ok.any(axis=1)
     before = -1
     while (count := np.count_nonzero(reached)) != before:
         before = count
-        for idx, dst, ok in moves:
-            reached[idx] |= reached[dst] & ok
+        for col, mask in enumerate(masks.tolist()):
+            reached |= reached[states ^ mask] & ok[:, col]
     verdicts = np.zeros(1 << 16, dtype=bool)
     verdicts[1:] = reached.all(0)[inverse]
     return verdicts

@@ -57,7 +57,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _cmd_classes(args, g: graphs.Graph) -> int:
-    ruleset = _rule_set(args)
+    ruleset = rules.RuleSet(rules.parse_rules(args.rules))
     shape = graphs.classify_shape(g)
     analysis = chain.analyze(chain.ChainSpec(g, ruleset))
     print(f"graph: n={g.n}, {len(g.edges)} edges, shape {shape.tag.value}")
@@ -101,7 +101,7 @@ def _oracle_reason(g: graphs.Graph, op_set) -> str:
 
 
 def _cmd_absorbing(args, g: graphs.Graph) -> int:
-    ruleset = _rule_set(args)
+    ruleset = rules.RuleSet(rules.parse_rules(args.rules))
     verdict = absorbing_mod.is_absorbing_chain_oracle(g, ruleset.op_set)
     reason = _oracle_reason(g, ruleset.op_set)
     analysis = chain.analyze(chain.ChainSpec(g, ruleset))
@@ -218,11 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to this file instead of stdout")
 
     p = sub.add_parser("classes", help="predicted vs brute-force communication classes")
-    add_common(p)
+    add_common(p, with_probs=False)
     p.set_defaults(rules="1,7")
 
     p = sub.add_parser("absorbing", help="closed-form vs brute-force absorbing verdict")
-    add_common(p)
+    add_common(p, with_probs=False)
 
     p = sub.add_parser("absorb-prob", help="absorption distribution from a start state")
     add_common(p)

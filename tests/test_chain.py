@@ -14,7 +14,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 import corpus
-from boolgossip import absorbing, chain, graphs, rules
+from boolgossip import absorbing, andor, chain, graphs, rules
 from boolgossip.errors import CapacityError, ParseError, PreconditionError, SolverError
 
 
@@ -59,6 +59,19 @@ def test_step_pair_void_rule():
     assert chain.step_pair(
         s01, (1, 2), rules.OP_OR, rules.OP_FIRST
     ) == chain.parse_state("11", 2)
+
+
+def test_pair_step_is_symmetric_in_its_endpoints():
+    # chain._moves gives a node one flip column whichever end of an edge it
+    # sits at, which holds because swapping the two draws and the two code
+    # bits swaps the outcome's code bits.
+    def swap(c):
+        return (c & 1) << 1 | c >> 1
+
+    for k in range(16):
+        for l in range(16):
+            for c in range(4):
+                assert chain._PAIR_STEP[k, l, swap(c)] == swap(chain._PAIR_STEP[l, k, c])
 
 
 def test_step_pair_touches_only_edge_bits():
@@ -272,9 +285,16 @@ def test_support_rows_are_canonical():
         g = corpus.random_connected_graph(rng.randrange(2, 8), rng)
         ops = sorted(corpus.random_rule_set(rng))
         specs.append(chain.ChainSpec(g, rules.RuleSet(ops)))
+    # Dense graphs and double flips: XOR (6) turns 11 into 00, and 0xB
+    # (a OR NOT b) turns 00 into 11.
     specs += [
-        chain.ChainSpec(graphs.make(kind, n), rules.RuleSet((1, 7)))
-        for kind, n in (("cycle", 16), ("complete", 14))
+        chain.ChainSpec(graphs.make(kind, n), rules.RuleSet(ops))
+        for kind, n, ops in (
+            ("cycle", 16, (1, 7)),
+            ("complete", 14, (1, 7)),
+            ("complete", 10, (1, 6, 7)),
+            ("star", 12, (2, 0xB)),
+        )
     ]
     for spec in specs:
         indptr, indices, stuck = chain._support(
@@ -422,6 +442,20 @@ def test_absorption_probabilities_rejections():
         chain.absorption_probabilities(
             chain.ChainSpec(big, rules.RuleSet((1, 7))), 1
         )
+
+
+def test_absorption_probabilities_start_range(monkeypatch):
+    spec = chain.ChainSpec(graphs.make("cycle", 4), rules.RuleSet((1, 7)))
+
+    def no_analyze(_spec):
+        raise AssertionError("the start is checked before the analysis")
+
+    monkeypatch.setattr(chain, "analyze", no_analyze)
+    for start in (-2, -1, 16, 1 << 20):
+        with pytest.raises(ValueError, match=f"state {start} out of range for n=4"):
+            chain.absorption_probabilities(spec, start)
+        with pytest.raises(ValueError, match="out of range"):
+            andor.consensus_probability(spec, start)
 
 
 def test_sweep_matches_analyze_sample():

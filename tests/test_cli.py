@@ -193,10 +193,11 @@ def test_export_dot_modes(capsys):
     assert "doublecircle" in out
 
 
-def test_export_dot_rejects_probs(capsys):
-    # The diagram depends only on the rule set's support, so it takes no
-    # probabilities.
-    argv = ["export-dot", "--graph", "make:cycle:4", "--rules", "1,7", "--probs", "0.3"]
+@pytest.mark.parametrize("command", ["export-dot", "classes", "absorbing"])
+def test_export_dot_rejects_probs(capsys, command):
+    # The diagram, the classes and the absorbing verdict depend only on the
+    # rule set's support, so these commands take no probabilities.
+    argv = [command, "--graph", "make:cycle:4", "--rules", "1,7", "--probs", "0.3"]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
