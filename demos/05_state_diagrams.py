@@ -17,7 +17,7 @@ for name, g in (
 ):
     spec = chain.ChainSpec(g, AND_OR)
     analysis = chain.analyze(spec)
-    text = chain.export_dot(spec, analysis)
+    text = chain.export_dot(spec)
     out = f"chain_{name}.dot"
     with open(out, "w", encoding="utf-8") as handle:
         handle.write(text)

@@ -28,7 +28,6 @@ from .rules import (
     PARITY_FAMILIES,
     SPLIT_STABLE,
     ZERO_STABLE,
-    is_parity_family,
 )
 
 
@@ -50,8 +49,6 @@ _STABLE_FAMILY = {
     StateClass.ONE_PAIR_ONLY: frozenset({OP_FIRST, OP_IMPLIED_BY}),
     StateClass.BOTH_PAIRS: frozenset({OP_FIRST}),
 }
-# One hash lookup in place of is_parity_family's two subset tests.
-_PARITY_SETS = frozenset(PARITY_FAMILIES)
 # The classes told apart by their edge patterns, not by constancy alone.
 _EDGE_CLASSES = (
     StateClass.PROPER,
@@ -151,28 +148,9 @@ def is_absorbing_chain_oracle(g: Graph, ops) -> bool:
         raise ValueError("rule set must be nonempty")
     if not is_connected(g):
         raise PreconditionError("the oracle needs a connected graph")
-    if ops in _PARITY_SETS:
+    if ops in PARITY_FAMILIES:
         return not has_odd_cycle(g)
     if ops <= NEIGHBOR_COPY:
         return False
     return ops <= ZERO_STABLE or ops <= ONE_STABLE
 
-
-def check_graph_independence(g1: Graph, g2: Graph, ops) -> bool:
-    """Brute-force check that the absorbing verdict agrees on two graphs.
-
-    Only valid for rule sets outside the parity-sensitive families, where
-    the verdict is claimed to be graph-independent; expected always true.
-    """
-    ops = frozenset(ops)
-    if is_parity_family(ops):
-        raise PreconditionError(
-            "rule set is parity-sensitive; its verdict depends on the graph"
-        )
-    from . import chain
-    from .rules import RuleSet
-
-    rules = RuleSet(tuple(sorted(ops)))
-    a1 = chain.analyze(chain.ChainSpec(g1, rules))
-    a2 = chain.analyze(chain.ChainSpec(g2, rules))
-    return a1.is_absorbing_chain == a2.is_absorbing_chain

@@ -511,12 +511,14 @@ def sweep_absorbing_verdicts(g: Graph) -> np.ndarray:
     return verdicts
 
 
-def export_dot(spec: ChainSpec, analysis: ChainAnalysis) -> str:
+def export_dot(spec: ChainSpec) -> str:
     """DOT digraph of the chain: bitstring labels, one fill color per class,
-    absorbing states drawn as double circles. Self-loops are omitted."""
+    absorbing states drawn as double circles. Self-loops are omitted. The
+    diagram cap is checked before the chain is analysed."""
     n = spec.graph.n
     if n > MAX_DOT_N:
         raise CapacityError(f"n={n} exceeds the diagram cap of {MAX_DOT_N}")
+    analysis = analyze(spec)
     indptr, indices, _ = _support(spec.graph, _reach(spec.rules.op_set))
     size = 1 << n
     lines = ["digraph chain {", "  node [style=filled];"]

@@ -189,9 +189,7 @@ def _cmd_sweep_rules(args, g: graphs.Graph) -> int:
 def _cmd_export_dot(args, g: graphs.Graph) -> int:
     if args.rules:
         ruleset = rules.RuleSet(rules.parse_rules(args.rules))
-        spec = chain.ChainSpec(g, ruleset)
-        analysis = chain.analyze(spec)
-        _write_out(chain.export_dot(spec, analysis), args.out)
+        _write_out(chain.export_dot(chain.ChainSpec(g, ruleset)), args.out)
     else:
         _write_out(graphs.to_dot(g), args.out)
     return 0
@@ -287,10 +285,7 @@ def main(argv=None) -> int:
         if args.command == "export-dot":
             return _cmd_export_dot(args, g)
         raise GossipError(f"unknown command {args.command!r}")
-    except GossipError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (GossipError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

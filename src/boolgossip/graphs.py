@@ -2,8 +2,8 @@
 
 Nodes are labeled 1..n in every external interface. Edges are unordered
 distinct pairs; adjacency lists are derived and kept sorted. Graph objects
-are immutable after construction and safe to share; each one runs its
-connectivity and 2-coloring BFS at most once and keeps the answers.
+are immutable after construction and safe to share; each one runs one BFS,
+for connectivity and 2-coloring together, at most once and keeps the answer.
 
 Shape classification distinguishes the cases that have different closed-form
 class counts: line, cycle, star, other tree, and general graphs split by
@@ -71,14 +71,30 @@ class Graph:
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
 
-    # Not dataclass fields: they stay out of ==, hash and repr.
+    # Not a dataclass field: it stays out of ==, hash and repr.
     @cached_property
-    def _connected(self) -> bool:
-        return _bfs_connected(self)
-
-    @cached_property
-    def _colors(self) -> tuple[int, ...] | None:
-        return _bfs_coloring(self)
+    def _bfs(self) -> tuple[bool, tuple[int, ...] | None]:
+        """(connected, colors) from one BFS over every component: colors is
+        a 0/1 color per node label (entry 0 unused), or None when some
+        component contains an odd cycle."""
+        colors = [-1] * (self.n + 1)
+        components = 0
+        bipartite = True
+        for start in range(1, self.n + 1):
+            if colors[start] != -1:
+                continue
+            components += 1
+            colors[start] = 0
+            queue = deque([start])
+            while queue:
+                u = queue.popleft()
+                for v in self.adjacency[u]:
+                    if colors[v] == -1:
+                        colors[v] = colors[u] ^ 1
+                        queue.append(v)
+                    elif colors[v] == colors[u]:
+                        bipartite = False
+        return components == 1, tuple(colors) if bipartite else None
 
 
 @dataclass(frozen=True)
@@ -89,19 +105,7 @@ class GraphShape:
 
 
 def is_connected(g: Graph) -> bool:
-    return g._connected
-
-
-def _bfs_connected(g: Graph) -> bool:
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == g.n
+    return g._bfs[0]
 
 
 def bipartition(g: Graph) -> tuple[int, ...] | None:
@@ -110,29 +114,11 @@ def bipartition(g: Graph) -> tuple[int, ...] | None:
     Returns a color (0/1) per node, indexed by node label with entry 0 unused,
     or None when some component contains an odd cycle.
     """
-    return g._colors
-
-
-def _bfs_coloring(g: Graph) -> tuple[int, ...] | None:
-    colors = [-1] * (g.n + 1)
-    for start in range(1, g.n + 1):
-        if colors[start] != -1:
-            continue
-        colors[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                if colors[v] == -1:
-                    colors[v] = colors[u] ^ 1
-                    queue.append(v)
-                elif colors[v] == colors[u]:
-                    return None
-    return tuple(colors)
+    return g._bfs[1]
 
 
 def has_odd_cycle(g: Graph) -> bool:
-    return g._colors is None
+    return g._bfs[1] is None
 
 
 def classify_shape(g: Graph) -> GraphShape:
@@ -205,13 +191,6 @@ def parse_edge_list(text: str) -> Graph:
         if widest > n_header:
             raise ParseError(f"edge label {widest} exceeds declared n={n_header}")
     return Graph(n, tuple(edges))
-
-
-def serialize_edge_list(g: Graph) -> str:
-    """Inverse of parse_edge_list: header line then one edge per line."""
-    lines = [f"n={g.n}"]
-    lines.extend(f"{i} {j}" for i, j in g.edges)
-    return "\n".join(lines) + "\n"
 
 
 def make(kind: str, n: int, seed: int | None = None, d: int | None = None) -> Graph:

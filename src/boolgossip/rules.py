@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
 
 from .errors import ParseError
 
@@ -47,11 +46,6 @@ def evaluate(op: int, a: int, b: int) -> int:
     return (op >> (3 - (2 * a + b))) & 1
 
 
-def truth_table(op: int) -> tuple[int, int, int, int]:
-    """Return (f(0,0), f(0,1), f(1,0), f(1,1)) for operator `op`."""
-    return tuple(evaluate(op, a, b) for a in (0, 1) for b in (0, 1))
-
-
 # Stability families, derived from the encoding itself.
 # ZERO_STABLE ops keep a 0-0 pair at zero; ONE_STABLE keep a 1-1 pair at one;
 # SPLIT_STABLE ops leave both endpoints of an unequal pair unchanged
@@ -71,44 +65,21 @@ NEIGHBOR_COPY = frozenset(
 AND_OR = frozenset({OP_AND, OP_OR})
 
 
-def is_inverter_family(ops: frozenset[int] | set[int]) -> bool:
-    """True when ops lies inside SPLIT_STABLE, contains NOT-second, and has
-    at least one other operator."""
-    ops = frozenset(ops)
-    return OP_NOT_SECOND in ops and ops <= SPLIT_STABLE and ops != {OP_NOT_SECOND}
-
-
-def is_split_pair_family(ops: frozenset[int] | set[int]) -> bool:
-    """True when ops lies inside SPLIT_STABLE and contains both a-AND-NOT-b
-    and a-OR-NOT-b."""
-    ops = frozenset(ops)
-    return OP_DIFF in ops and OP_IMPLIED_BY in ops and ops <= SPLIT_STABLE
+# The nine parity families, all inside SPLIT_STABLE: NOT-second with at least
+# one other operator (seven sets), or both a-AND-NOT-b and a-OR-NOT-b (four
+# sets, two of them shared with the first kind).
+PARITY_FAMILIES = frozenset(
+    frozenset(combo)
+    for r in range(2, len(SPLIT_STABLE) + 1)
+    for combo in combinations(SPLIT_STABLE, r)
+    if OP_NOT_SECOND in combo or {OP_DIFF, OP_IMPLIED_BY} <= set(combo)
+)
 
 
 def is_parity_family(ops: frozenset[int] | set[int]) -> bool:
     """True for the nine rule sets whose absorbing verdict depends only on
     whether the interaction graph contains an odd cycle."""
-    return is_inverter_family(ops) or is_split_pair_family(ops)
-
-
-def _enumerate_parity_families() -> tuple[frozenset[int], ...]:
-    found = []
-    members = sorted(SPLIT_STABLE)
-    for r in range(1, len(members) + 1):
-        for combo in combinations(members, r):
-            cand = frozenset(combo)
-            if is_parity_family(cand):
-                found.append(cand)
-    found.sort(key=ops_mask)
-    return tuple(found)
-
-
-def ops_mask(ops) -> int:
-    """Pack a set of operator indices into a 16-bit membership mask."""
-    mask = 0
-    for k in ops:
-        mask |= 1 << k
-    return mask
+    return frozenset(ops) in PARITY_FAMILIES
 
 
 def mask_ops(mask: int) -> frozenset[int]:
@@ -116,12 +87,6 @@ def mask_ops(mask: int) -> frozenset[int]:
     if not 0 <= mask < 1 << 16:
         raise ValueError(f"rule mask out of range: {mask}")
     return frozenset(k for k in OPS if mask >> k & 1)
-
-
-def all_rule_sets() -> Iterator[frozenset[int]]:
-    """Yield all 65535 nonempty operator sets in ascending mask order."""
-    for mask in range(1, 1 << 16):
-        yield mask_ops(mask)
 
 
 @dataclass(frozen=True)
@@ -164,9 +129,6 @@ class RuleSet:
 
     def __str__(self) -> str:
         return format_rules(self.ops)
-
-
-PARITY_FAMILIES: tuple[frozenset[int], ...] = _enumerate_parity_families()
 
 
 def parse_rules(text: str) -> tuple[int, ...]:

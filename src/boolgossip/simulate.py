@@ -42,7 +42,7 @@ import numpy as np
 from .absorbing import absorbing_rows
 from .chain import _PAIR_STEP, ChainSpec
 from .errors import PreconditionError
-from .meanfield import KIND_EMPIRICAL, DensityTrajectory
+from .meanfield import KIND_EMPIRICAL, DensityTrajectory, _sample_grid
 from .philox import _SHIFT11, block, uniforms
 
 TAG_INIT = 0
@@ -241,9 +241,7 @@ def run(config: SimConfig) -> SimResult:
     m_ops = np.uint8(len(ops))
     pairs = (ops[:, None] << 6 | ops << 2).reshape(-1)
     sample = config.sample_every if config.sample_every is not None else n
-    ts = list(range(0, config.horizon + 1, sample))
-    if ts[-1] != config.horizon:
-        ts.append(config.horizon)
+    ts = _sample_grid(config.horizon, sample)
 
     # live holds the states of the alive rounds, compacted at each
     # retirement; retired_ones counts the ones of the retired rows.
@@ -328,7 +326,7 @@ def run(config: SimConfig) -> SimResult:
         consensus += int(np.count_nonzero(ones == 0))
         consensus += int(np.count_nonzero(ones == n))
 
-    trajectory = DensityTrajectory(tuple(ts), tuple(densities), KIND_EMPIRICAL)
+    trajectory = DensityTrajectory(ts, tuple(densities), KIND_EMPIRICAL)
     return SimResult(
         density_mean=trajectory,
         absorption_counts=absorption_counts,

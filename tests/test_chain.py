@@ -526,8 +526,7 @@ def test_sweep_matches_oracle_at_cap(family):
 def test_export_dot_color_counts():
     g = graphs.make("cycle", 4)
     spec = chain.ChainSpec(g, rules.RuleSet((1, 7)))
-    analysis = chain.analyze(spec)
-    text = chain.export_dot(spec, analysis)
+    text = chain.export_dot(spec)
     node_lines = [line for line in text.splitlines() if "fillcolor" in line]
     assert len(node_lines) == 16
     colors = {line.split('fillcolor="')[1].split('"')[0] for line in node_lines}
@@ -535,7 +534,7 @@ def test_export_dot_color_counts():
     assert text.count("doublecircle") == 2
     paw = graphs.parse_edge_list("1 2\n2 3\n2 4\n3 4")
     spec = chain.ChainSpec(paw, rules.RuleSet((1, 7)))
-    text = chain.export_dot(spec, chain.analyze(spec))
+    text = chain.export_dot(spec)
     node_lines = [line for line in text.splitlines() if "fillcolor" in line]
     colors = {line.split('fillcolor="')[1].split('"')[0] for line in node_lines}
     assert len(node_lines) == 16
@@ -545,7 +544,7 @@ def test_export_dot_color_counts():
 def test_export_dot_double_flip_arcs():
     # Recorded text: XOR on a path flips both ends of a 1-1 edge at once.
     spec = chain.ChainSpec(graphs.make("line", 3), rules.RuleSet((rules.OP_XOR,)))
-    text = chain.export_dot(spec, chain.analyze(spec))
+    text = chain.export_dot(spec)
     assert text == """digraph chain {
   node [style=filled];
   "000" [fillcolor="0.000 0.400 0.950" shape=doublecircle];
@@ -575,7 +574,7 @@ def test_export_dot_cap():
     big = graphs.make("line", chain.MAX_DOT_N + 1)
     spec = chain.ChainSpec(big, rules.RuleSet((1, 7)))
     with pytest.raises(CapacityError):
-        chain.export_dot(spec, chain.analyze(spec))
+        chain.export_dot(spec)
 
 
 def test_export_csv():

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from boolgossip import cli
+from boolgossip import chain, cli
 
 
 def test_classes_match_line(capsys):
@@ -191,6 +191,18 @@ def test_export_dot_modes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "doublecircle" in out
+
+
+def test_export_dot_cap_checked_before_analysis(capsys, monkeypatch):
+    # cycle(9) is one node past the diagram cap, so the command must refuse
+    # it before the chain is analysed at all.
+    def refuse(spec):
+        raise AssertionError("analyze ran before the diagram cap check")
+
+    monkeypatch.setattr(chain, "analyze", refuse)
+    rc = cli.main(["export-dot", "--graph", "make:cycle:9", "--rules", "1,7"])
+    assert rc == 2
+    assert "exceeds the diagram cap of 8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["export-dot", "classes", "absorbing"])
