@@ -58,47 +58,12 @@ _EDGE_CLASSES = (
 )
 
 
-def classify_state(g: Graph, s: int) -> StateClass:
-    """Assign the unique state class of s on a connected graph."""
-    if not is_connected(g):
-        raise PreconditionError("state classification needs a connected graph")
-    full = (1 << g.n) - 1
-    if s == 0:
-        return StateClass.ALL_ZERO
-    if s == full:
-        return StateClass.ALL_ONE
-    zero_pair = False
-    one_pair = False
-    for i, j in g.edges:
-        bi = s >> (i - 1) & 1
-        bj = s >> (j - 1) & 1
-        if bi == 0 and bj == 0:
-            zero_pair = True
-        elif bi == 1 and bj == 1:
-            one_pair = True
-    if not zero_pair and not one_pair:
-        return StateClass.PROPER
-    if zero_pair and one_pair:
-        return StateClass.BOTH_PAIRS
-    if zero_pair:
-        return StateClass.ZERO_PAIR_ONLY
-    return StateClass.ONE_PAIR_ONLY
-
-
-def is_absorbing_state(g: Graph, s: int, ops) -> bool:
-    """Closed-form absorbing test: the rule set must lie inside the family
-    that freezes the class of s."""
-    ops = frozenset(ops)
-    if not ops:
-        raise ValueError("rule set must be nonempty")
-    return ops <= _STABLE_FAMILY[classify_state(g, s)]
-
-
 def absorbing_rows(g: Graph, ops, states: np.ndarray) -> np.ndarray:
     """Vectorized closed-form absorbing test over a (rows, n) 0/1 matrix.
 
-    Same classification as is_absorbing_state, applied per row; used by the
-    simulator for early exit. Only the masks of the classes the rule set
+    A row on a connected graph is absorbing exactly when the rule set lies
+    inside the family that freezes its state class; used by the simulator
+    for early exit. Only the masks of the classes the rule set
     freezes are built: the constant rows from one count of ones per row,
     and the four edge-pattern classes from one scan of the edges, made only
     when the rule set freezes one of them. Under AND/OR, for one, only the
@@ -109,7 +74,7 @@ def absorbing_rows(g: Graph, ops, states: np.ndarray) -> np.ndarray:
         raise ValueError("rule set must be nonempty")
     states = np.asarray(states)
     frozen = {cls for cls, family in _STABLE_FAMILY.items() if ops <= family}
-    ones = np.count_nonzero(states, axis=1)
+    ones = np.einsum("ij->i", states, dtype=np.intp)
     out = np.zeros(states.shape[0], dtype=bool)
     if StateClass.ALL_ZERO in frozen:
         out |= ones == 0
@@ -154,3 +119,25 @@ def is_absorbing_chain_oracle(g: Graph, ops) -> bool:
         return False
     return ops <= ZERO_STABLE or ops <= ONE_STABLE
 
+
+def oracle_reason(g: Graph, ops) -> tuple[bool, str]:
+    """The branch of is_absorbing_chain_oracle that decides (g, ops): the
+    verdict it gives and, in words, why. It takes the oracle's branches in
+    the oracle's order, for the CLI to print; the oracle itself stays a bare
+    lookup, since callers run it over all 65535 rule sets.
+    """
+    ops = frozenset(ops)
+    if ops in PARITY_FAMILIES:
+        if has_odd_cycle(g):
+            return False, "rules are parity-sensitive and an odd cycle is present"
+        return True, "rules are parity-sensitive and the graph has no odd cycle"
+    if ops <= NEIGHBOR_COPY:
+        return False, "rules only copy the neighbour, so one dissenter never vanishes"
+    inside = []
+    if ops <= ZERO_STABLE:
+        inside.append("the all-zeros-stable family")
+    if ops <= ONE_STABLE:
+        inside.append("the all-ones-stable family")
+    if inside:
+        return True, "rules lie inside " + " and ".join(inside)
+    return False, "rules fix neither all-zeros nor all-ones"

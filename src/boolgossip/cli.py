@@ -83,27 +83,10 @@ def _cmd_classes(args, g: graphs.Graph) -> int:
     return 0
 
 
-def _oracle_reason(g: graphs.Graph, op_set) -> str:
-    if rules.is_parity_family(op_set):
-        if graphs.has_odd_cycle(g):
-            return "rules are parity-sensitive and an odd cycle is present"
-        return "rules are parity-sensitive and the graph has no odd cycle"
-    if op_set <= rules.NEIGHBOR_COPY:
-        return "rules only copy the neighbour, so one dissenter never vanishes"
-    inside = []
-    if op_set <= rules.ZERO_STABLE:
-        inside.append("the all-zeros-stable family")
-    if op_set <= rules.ONE_STABLE:
-        inside.append("the all-ones-stable family")
-    if inside:
-        return "rules lie inside " + " and ".join(inside)
-    return "rules fix neither all-zeros nor all-ones"
-
-
 def _cmd_absorbing(args, g: graphs.Graph) -> int:
     ruleset = rules.RuleSet(rules.parse_rules(args.rules))
     verdict = absorbing_mod.is_absorbing_chain_oracle(g, ruleset.op_set)
-    reason = _oracle_reason(g, ruleset.op_set)
+    _, reason = absorbing_mod.oracle_reason(g, ruleset.op_set)
     analysis = chain.analyze(chain.ChainSpec(g, ruleset))
     agrees = "agrees" if analysis.is_absorbing_chain == verdict else "DISAGREES"
     word = "ABSORBING" if verdict else "NOT ABSORBING"

@@ -131,8 +131,6 @@ def uniforms(words: np.ndarray) -> np.ndarray:
 _DENSE_MIN = 0.2
 _ROW_IDS = 80
 _U256 = (1 << 256) - 1
-# One Philox block (four words) as a single 32-byte item.
-_BLOCK = np.dtype((np.void, 32))
 
 
 def _compiled_rows(seed: int, tag: int, ids: np.ndarray, steps: np.ndarray) -> list:
@@ -143,8 +141,10 @@ def _compiled_rows(seed: int, tag: int, ids: np.ndarray, steps: np.ndarray) -> l
     It increments its 256-bit counter before each block, so a row starts one
     below (lo, t), which borrows from t when lo = 0. From the end of a row,
     advance() moves it to the start of the next. Each row is drawn in pieces
-    of at most _CHUNK counters, and the ids' blocks are gathered from a
-    piece when the span has gaps.
+    of at most _CHUNK counters into one (steps, ids, 4) buffer, as numpy
+    yields them: a piece is copied whole when the span has no gaps, and
+    otherwise its ids' blocks are taken from it. The four words are strided
+    views of that buffer, which lives as long as any of them.
     """
     lo = int(ids[0])
     span = int(ids[-1]) - lo + 1
@@ -165,7 +165,7 @@ def _compiled_rows(seed: int, tag: int, ids: np.ndarray, steps: np.ndarray) -> l
             local = offsets[i:j]
             local -= a
         pieces.append((b - a, i, j, local))
-    out = [np.empty((len(steps), len(ids)), dtype=np.uint64) for _ in range(4)]
+    buf = np.empty((len(steps), len(ids), 4), dtype=np.uint64)
     prev = int(steps[0])
     start = (lo + (prev << 64) - 1) & _U256
     bits = np.random.Philox(
@@ -177,12 +177,13 @@ def _compiled_rows(seed: int, tag: int, ids: np.ndarray, steps: np.ndarray) -> l
             bits.advance((((t - prev) << 64) - span) & _U256)
             prev = t
         for size, i, j, local in pieces:
-            raw = bits.random_raw(4 * size)
-            if local is not None:
-                raw = raw.view(_BLOCK).take(local).view(np.uint64)
-            for word, col in zip(out, raw.reshape(-1, 4).T):
-                word[row, i:j] = col
-    return out
+            raw = bits.random_raw(4 * size).reshape(-1, 4)
+            if local is None:
+                buf[row, i:j] = raw
+            else:
+                # The offsets lie in the piece; mode="raise" would buffer out.
+                np.take(raw, local, axis=0, out=buf[row, i:j], mode="clip")
+    return [buf[..., k] for k in range(4)]
 
 
 def block(seed: int, tag: int, major, minor):
@@ -197,7 +198,9 @@ def block(seed: int, tag: int, major, minor):
     enough of their span and a row holds enough of them (_DENSE_MIN,
     _ROW_IDS). Any other input runs philox4: unsorted or repeated ids have
     no run to draw, and other shapes are not rows of one minor value.
-    Both paths give the same words, each in its own buffer.
+    Both paths give the same words. philox4 puts each in its own buffer;
+    numpy's path returns views of one buffer of whole blocks, which no two
+    words share an element of.
     """
     major = np.asarray(major, dtype=np.uint64)
     minor = np.asarray(minor, dtype=np.uint64)

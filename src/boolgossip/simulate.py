@@ -19,16 +19,18 @@ the uniform of its Philox word, read from the word itself by integer
 thresholds: summed comparisons for up to 15 entries, a guide table for
 more. Picks are small unsigned integers, and the two operator picks make
 one index into a uint16 table of operator pairs. The alive rounds' states
-are one compacted array, so a step is one flat gather of both ends of
-every round's edge, one table lookup and one scatter. Ones are counted
-only at sample points, as the alive rows' ones plus a running total over
-the retired rows.
+are one compacted array of bytes, so a step is one flat gather of the two
+ends' bytes of every round's edge, read as one uint16, one or with the
+round's operator pair, one lookup in a 16 KB table and one scatter. Ones
+are counted only at sample points, as the alive rows' ones plus a running
+total over the retired rows.
 
 The step draws of a sample interval are made in blocks of a bounded number
 of counters, so memory stays flat however long the interval is. A counter
-costs 32 B while its block is drawn (the four Philox words) and less
-after: the picks, the operator pair (2 B) and the two end slots (16 B).
-Long runs log a progress line at most every ten seconds.
+costs 32 B while its block is drawn (one buffer of its four Philox words),
+42 B at the peak, when the edge pick's word is copied out of that buffer
+beside the operator pair (2 B), and less after: the edge pick and the two
+end slots (16 B). Long runs log a progress line at most every ten seconds.
 """
 
 from __future__ import annotations
@@ -49,18 +51,15 @@ TAG_INIT = 0
 TAG_STEP = 1
 
 # Step draws are made in blocks of at most this many counters, so memory
-# does not grow with sample_every. A counter costs 32 B while its block is
-# drawn (its four Philox words), so a block peaks near 4 MB. Timed on a
-# 2-vCPU Xeon (glibc) over blocks of one size, at 800 rounds on
-# complete(100) and 100k on cycle(4), the draws and picks cost the same
-# per counter from 2^16 to 2^18 counters a block, with under one minor
-# page fault per 1000 counters. At 2^19 they cost a third to a half more:
-# malloc returns each block's 16 MB of words to the system and faults them
-# in again (7.5 faults per 1000 counters). A block has a fixed cost of
-# about 50 us, about 1% of a block of 2^17 counters. At 2000 rounds on
-# complete(1000), whose edge tables (16 MB) are gathered from at random,
-# 2^17 to 2^19 cost the same and 2^16 more.
-_DRAW_COUNTERS = 1 << 17
+# does not grow with sample_every. Under tracemalloc a block of 2^16
+# counters peaks at 2.9 MB, 44 B a counter (see the module docstring).
+# Timed on a 2-vCPU Xeon (glibc, numpy 2.4) over blocks of one size, a
+# pass of 800 rounds on complete(100) and 100k on cycle(4) costs the same
+# CPU time from 2^16 to 2^18 counters a block, and so does 2000 rounds on
+# complete(1000), whose edge tables (16 MB) are gathered from at random.
+# The peak RSS of that pass grows with the block: 72 MB at 2^16, 75 MB at
+# 2^17 and 83 MB at 2^18, the import taking 62 MB.
+_DRAW_COUNTERS = 1 << 16
 # Least time between two progress lines (INFO, logger boolgossip.simulate).
 _LOG_SECONDS = 10.0
 
@@ -214,11 +213,35 @@ def _picker(weights):
     return pick
 
 
-# _STEP_BITS[k << 6 | l << 2 | c]: the new bits (of i, of j) of _PAIR_STEP
-# as two bytes read as one uint16, so one gather gives both endpoints.
-_STEP_BITS = (
-    np.stack([_PAIR_STEP & 1, _PAIR_STEP >> 1], axis=-1).view(np.uint16).reshape(-1)
-)
+def _byte_pair(first, second):
+    """The bytes (first, second), broadcast together, read as one uint16."""
+    pair = np.stack(np.broadcast_arrays(first, second), axis=-1).astype(np.uint8)
+    return pair.view(np.uint16)[..., 0]
+
+
+def _step_table():
+    """_STEP_BITS[_byte_pair(k << 1 | b_i, l << 1 | b_j)]: the new bits of i
+    and of j, as _byte_pair(b_i', b_j'), when i holds b_i and draws k and j
+    holds b_j and draws l. A step gathers the two ends' bytes, reads them as
+    one uint16 and ors in _byte_pair(k << 1, l << 1) to make the key; on a
+    little-endian machine it is k << 1 | l << 9 | b_i | b_j << 8, under 2^13.
+    """
+    k, l, b_j, b_i = np.indices((16, 16, 2, 2))
+    new = _PAIR_STEP.reshape(16, 16, 2, 2)  # code b_i | b_j << 1 as (b_j, b_i)
+    table = np.zeros(1 << 13, dtype=np.uint16)
+    table[_byte_pair(k << 1 | b_i, l << 1 | b_j)] = _byte_pair(new & 1, new >> 1)
+    return table
+
+
+_STEP_BITS = _step_table()
+
+
+def _step(flat, slots, pair):
+    """Apply one step to every round: slots holds the flat indices in flat
+    of each round's two ends, pair each round's operator bits of the key."""
+    key = flat[slots].view(np.uint16).reshape(-1)
+    key |= pair
+    flat[slots] = _STEP_BITS.take(key).view(np.uint8).reshape(-1, 2)
 
 
 def run(config: SimConfig) -> SimResult:
@@ -234,12 +257,12 @@ def run(config: SimConfig) -> SimResult:
     ends = ends.view(np.dtype((np.void, 2 * ends.itemsize))).reshape(-1)
     edge_pick = _picker(spec._float_weights)
     op_pick = _picker(spec.rules.probs)
-    # pairs[k * m + l]: the operator bits of _STEP_BITS's index when the
-    # ends draw operators k and l. At most 16 operators, so k * m + l and
-    # the picks fit in uint8.
-    ops = np.array(spec.rules.ops, dtype=np.uint16)
+    # pairs[k * m + l]: the operator bits of _STEP_BITS's key when the ends
+    # draw operators k and l. At most 16 operators, so k * m + l and the
+    # picks fit in uint8.
+    ops = np.array(spec.rules.ops)
     m_ops = np.uint8(len(ops))
-    pairs = (ops[:, None] << 6 | ops << 2).reshape(-1)
+    pairs = _byte_pair(ops[:, None] << 1, ops << 1).reshape(-1)
     sample = config.sample_every if config.sample_every is not None else n
     ts = _sample_grid(config.horizon, sample)
 
@@ -258,45 +281,45 @@ def run(config: SimConfig) -> SimResult:
             return
         done = absorbing_rows(g, op_set, live)
         if done.any():
-            rows = live[done]
+            rows = live.compress(done, axis=0)
             retired_ones += int(np.count_nonzero(rows))
             for word, count in _count_rows(rows).items():
                 absorption_counts[word] = absorption_counts.get(word, 0) + count
                 if word == 0 or word == full:
                     consensus += count
-            live = live[~done]
-            alive = alive[~done]
+            keep = ~done
+            live = live.compress(keep, axis=0)
+            alive = alive.compress(keep)
 
     def advance(t0, t1):
         # Words come as (steps, alive rounds), so each step reads one
         # contiguous row; round r at step t draws counter (r, t, 0, 0).
-        # The words are separate arrays; each is dropped once used.
-        w0, w1, w2 = block(
+        words = block(
             config.seed,
             TAG_STEP,
             alive.astype(np.uint64),
             np.arange(t0, t1, dtype=np.uint64)[:, None],
-        )[:3]
-        pick = op_pick(w1)
-        del w1
+        )
+        pick = op_pick(words[1])
         pick *= m_ops
-        pick += op_pick(w2)
-        del w2
+        pick += op_pick(words[2])
         pair = pairs.take(pick)
         del pick
+        # The words may be views of one buffer of whole blocks (32 B a
+        # counter). The edge pick makes temporaries of its word's size, so
+        # its word is copied out and the buffer dropped first.
+        w0 = np.ascontiguousarray(words[0])
+        del words
         edge = edge_pick(w0)
         del w0
         # slots[k, r] holds the flat indices in live of the two ends of the
         # edge that round r updates at step k.
-        slots = ends.take(edge).view(np.intp)
+        slots = ends.take(edge).view(np.intp).reshape(t1 - t0, len(alive), 2)
         del edge
-        slots += np.repeat(np.arange(len(alive)) * n, 2)
-        slots = slots.reshape(t1 - t0, len(alive), 2)
+        slots += (np.arange(len(alive)) * n)[:, None]
         flat = live.reshape(-1)
         for k in range(t1 - t0):
-            bits = flat[slots[k]]
-            new = _STEP_BITS.take(pair[k] | (bits[:, 0] | bits[:, 1] << 1))
-            flat[slots[k]] = new.view(np.uint8).reshape(-1, 2)
+            _step(flat, slots[k], pair[k])
 
     def density():
         return float(retired_ones + np.count_nonzero(live)) / (rounds * n)

@@ -14,6 +14,50 @@ from boolgossip import absorbing, chain, graphs, rules
 from boolgossip.absorbing import StateClass
 from boolgossip.errors import PreconditionError
 
+# The scalar reference for absorbing_rows: one state word at a time, each
+# state class decided by a walk over the edges and frozen by its own family.
+STABLE_FAMILY = {
+    StateClass.ALL_ZERO: rules.ZERO_STABLE,
+    StateClass.ALL_ONE: rules.ONE_STABLE,
+    StateClass.PROPER: rules.SPLIT_STABLE,
+    StateClass.ZERO_PAIR_ONLY: frozenset({rules.OP_DIFF, rules.OP_FIRST}),
+    StateClass.ONE_PAIR_ONLY: frozenset({rules.OP_FIRST, rules.OP_IMPLIED_BY}),
+    StateClass.BOTH_PAIRS: frozenset({rules.OP_FIRST}),
+}
+
+
+def classify_state(g: graphs.Graph, s: int) -> StateClass:
+    """The unique state class of s on a connected graph."""
+    if not graphs.is_connected(g):
+        raise PreconditionError("state classification needs a connected graph")
+    if s == 0:
+        return StateClass.ALL_ZERO
+    if s == (1 << g.n) - 1:
+        return StateClass.ALL_ONE
+    zero_pair = one_pair = False
+    for i, j in g.edges:
+        bi = s >> (i - 1) & 1
+        bj = s >> (j - 1) & 1
+        if bi == 0 and bj == 0:
+            zero_pair = True
+        elif bi == 1 and bj == 1:
+            one_pair = True
+    if not zero_pair and not one_pair:
+        return StateClass.PROPER
+    if zero_pair and one_pair:
+        return StateClass.BOTH_PAIRS
+    if zero_pair:
+        return StateClass.ZERO_PAIR_ONLY
+    return StateClass.ONE_PAIR_ONLY
+
+
+def is_absorbing_state(g: graphs.Graph, s: int, ops) -> bool:
+    """The rule set lies inside the family that freezes the class of s."""
+    ops = frozenset(ops)
+    if not ops:
+        raise ValueError("rule set must be nonempty")
+    return ops <= STABLE_FAMILY[classify_state(g, s)]
+
 
 def _parse(bits: str) -> int:
     return chain.parse_state(bits, len(bits))
@@ -21,22 +65,22 @@ def _parse(bits: str) -> int:
 
 def test_classify_state_cases(paw):
     cycle = graphs.make("cycle", 4)
-    assert absorbing.classify_state(cycle, _parse("0000")) is StateClass.ALL_ZERO
-    assert absorbing.classify_state(cycle, _parse("1111")) is StateClass.ALL_ONE
-    assert absorbing.classify_state(cycle, _parse("0101")) is StateClass.PROPER
-    assert absorbing.classify_state(cycle, _parse("0001")) is StateClass.ZERO_PAIR_ONLY
-    assert absorbing.classify_state(cycle, _parse("0111")) is StateClass.ONE_PAIR_ONLY
-    assert absorbing.classify_state(cycle, _parse("1100")) is StateClass.BOTH_PAIRS
+    assert classify_state(cycle, _parse("0000")) is StateClass.ALL_ZERO
+    assert classify_state(cycle, _parse("1111")) is StateClass.ALL_ONE
+    assert classify_state(cycle, _parse("0101")) is StateClass.PROPER
+    assert classify_state(cycle, _parse("0001")) is StateClass.ZERO_PAIR_ONLY
+    assert classify_state(cycle, _parse("0111")) is StateClass.ONE_PAIR_ONLY
+    assert classify_state(cycle, _parse("1100")) is StateClass.BOTH_PAIRS
     # The paw has no proper two-coloring, so mixed states always expose a pair.
-    assert absorbing.classify_state(paw, _parse("0001")) is StateClass.ZERO_PAIR_ONLY
-    assert absorbing.classify_state(paw, _parse("1011")) is StateClass.ONE_PAIR_ONLY
-    assert absorbing.classify_state(paw, _parse("0011")) is StateClass.BOTH_PAIRS
+    assert classify_state(paw, _parse("0001")) is StateClass.ZERO_PAIR_ONLY
+    assert classify_state(paw, _parse("1011")) is StateClass.ONE_PAIR_ONLY
+    assert classify_state(paw, _parse("0011")) is StateClass.BOTH_PAIRS
 
 
 def test_classify_state_rejects_disconnected():
     g = graphs.Graph(4, ((1, 2), (3, 4)))
     with pytest.raises(PreconditionError):
-        absorbing.classify_state(g, 5)
+        classify_state(g, 5)
 
 
 def test_classify_state_exhaustive_consistency():
@@ -66,17 +110,17 @@ def test_classify_state_exhaustive_consistency():
                 want = StateClass.ZERO_PAIR_ONLY
             else:
                 want = StateClass.ONE_PAIR_ONLY
-            assert absorbing.classify_state(g, s) is want
+            assert classify_state(g, s) is want
 
 
 def test_is_absorbing_state_examples(paw, square_1243):
-    assert absorbing.is_absorbing_state(paw, _parse("0000"), {2, 3})
-    assert not absorbing.is_absorbing_state(paw, _parse("1111"), {2})
-    assert absorbing.is_absorbing_state(square_1243, _parse("0110"), {2, 0xB})
-    assert absorbing.is_absorbing_state(square_1243, _parse("1001"), {2, 0xB})
-    assert not absorbing.is_absorbing_state(square_1243, _parse("0000"), {2, 0xB})
+    assert is_absorbing_state(paw, _parse("0000"), {2, 3})
+    assert not is_absorbing_state(paw, _parse("1111"), {2})
+    assert is_absorbing_state(square_1243, _parse("0110"), {2, 0xB})
+    assert is_absorbing_state(square_1243, _parse("1001"), {2, 0xB})
+    assert not is_absorbing_state(square_1243, _parse("0000"), {2, 0xB})
     with pytest.raises(ValueError):
-        absorbing.is_absorbing_state(paw, 0, set())
+        is_absorbing_state(paw, 0, set())
 
 
 def test_is_absorbing_state_matches_transition_row():
@@ -95,7 +139,7 @@ def test_is_absorbing_state_matches_transition_row():
             spec = chain.ChainSpec(g, rules.RuleSet(ops))
             s = rng.randrange(1 << g.n)
             row = chain.transition_row(spec, s)
-            assert absorbing.is_absorbing_state(g, s, ops) == (
+            assert is_absorbing_state(g, s, ops) == (
                 row.targets == ((s, 1.0),)
             )
 
@@ -113,7 +157,7 @@ def test_absorbing_rows_matches_scalar(paw):
             mask = absorbing.absorbing_rows(g, ops, all_states)
             assert mask.shape == (size,) and mask.dtype == np.bool_
             for s in range(size):
-                assert bool(mask[s]) == absorbing.is_absorbing_state(g, s, ops)
+                assert bool(mask[s]) == is_absorbing_state(g, s, ops)
 
 
 def test_absorbing_rows_constant_only_sets():
@@ -145,13 +189,42 @@ def test_absorbing_rows_constant_only_sets():
         for ops in constant_only + edge_family:
             mask = absorbing.absorbing_rows(g, ops, rows)
             assert mask.tolist() == [
-                absorbing.is_absorbing_state(g, s, ops) for s in words
+                is_absorbing_state(g, s, ops) for s in words
             ]
             if ops in constant_only:
                 assert not mask[2:].any()
                 assert (absorbing.absorbing_rows(no_edges, ops, rows) == mask).all()
             elif g.n == 9:  # star(9) has proper colourings, complete(12) none
                 assert mask[2:].any()
+
+
+def test_absorbing_rows_counts_ones_past_255():
+    # Rows of 300 nodes: a ones count kept in a byte would read the
+    # all-ones row as 44 ones and the 256-ones rows as constant zeros.
+    n = 300
+    full = (1 << n) - 1
+    star_ones = (1 << 257) - 2  # the star's leaves 2..257 hold 1
+    words = [0, full, (1 << 256) - 1, star_ones, star_ones | 1]
+    rows = np.array([[(s >> i) & 1 for i in range(n)] for s in words], dtype=np.uint8)
+    assert rows.sum(axis=1).tolist() == [0, 300, 256, 256, 257]
+    rule_sets = (
+        {rules.OP_AND, rules.OP_OR},
+        {rules.OP_DIFF, rules.OP_FIRST},  # freezes the zero-pair-only rows
+        {rules.OP_FIRST, rules.OP_IMPLIED_BY},  # and the one-pair-only rows
+    )
+    for g in (graphs.make("star", n), graphs.make("cycle", n)):
+        for ops in rule_sets:
+            mask = absorbing.absorbing_rows(g, ops, rows)
+            assert mask.tolist() == [is_absorbing_state(g, s, ops) for s in words]
+    # On the star, star_ones is zero-pair-only, and the other mixed rows,
+    # whose centre holds 1, are one-pair-only: the edge scan decides them.
+    star = graphs.make("star", n)
+    assert absorbing.absorbing_rows(star, rule_sets[1], rows).tolist() == [
+        True, False, False, True, False
+    ]
+    assert absorbing.absorbing_rows(star, rule_sets[2], rows).tolist() == [
+        False, True, True, False, True
+    ]
 
 
 def test_absorbing_set_closed_form_small_graphs():
@@ -164,7 +237,7 @@ def test_absorbing_set_closed_form_small_graphs():
         expected = {
             s
             for s in range(1 << g.n)
-            if absorbing.is_absorbing_state(g, s, ops)
+            if is_absorbing_state(g, s, ops)
         }
         assert analysis.absorbing_states == expected
 
@@ -255,6 +328,19 @@ def test_oracle_runs_graph_bfs_once(monkeypatch):
         with pytest.raises(PreconditionError):
             absorbing.is_absorbing_chain_oracle(split, frozenset({1, 7}))
     assert calls == [g, split]
+
+
+def test_oracle_reason_branch_matches_oracle():
+    # The branch the CLI words must give the oracle's verdict on every rule
+    # set, on an odd and an even cycle (the parity families tell them apart).
+    for g in (graphs.make("cycle", 3), graphs.make("cycle", 4)):
+        reasons = set()
+        for mask in range(1, 1 << 16):
+            ops = rules.mask_ops(mask)
+            verdict, reason = absorbing.oracle_reason(g, ops)
+            assert verdict == absorbing.is_absorbing_chain_oracle(g, ops), mask
+            reasons.add(reason)
+        assert len(reasons) == 6
 
 
 def _same_verdict(g1, g2, ops):

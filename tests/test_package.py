@@ -8,7 +8,7 @@ import boolgossip
 
 # Names that only tests used; each module that defined one no longer does.
 REMOVED = {
-    "absorbing": ("check_graph_independence",),
+    "absorbing": ("check_graph_independence", "classify_state", "is_absorbing_state"),
     "graphs": ("serialize_edge_list",),
     "rules": (
         "all_rule_sets",

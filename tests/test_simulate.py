@@ -208,6 +208,22 @@ def test_seeded_streams_weighted_and_clamped(monkeypatch):
     assert result.consensus_fraction == 0.0
 
 
+def test_step_table_matches_step_pair():
+    # One round per operator pair and edge code, stepped as run() steps its
+    # rounds: the ends' bytes gathered from the flat states and or-ed with
+    # the pair's operator bits into one uint16 key of _STEP_BITS.
+    ops = np.arange(16)
+    pairs = simulate._byte_pair(ops[:, None] << 1, ops << 1).reshape(-1)
+    k, l, c = np.indices((16, 16, 4)).reshape(3, -1)
+    flat = np.stack([c & 1, c >> 1], axis=-1).astype(np.uint8).reshape(-1)
+    slots = np.arange(len(flat)).reshape(-1, 2)
+    simulate._step(flat, slots, pairs[k * 16 + l])
+    new = flat.reshape(-1, 2)
+    got = new[:, 0] | new[:, 1] << 1
+    want = [chain.step_pair(int(s), (1, 2), int(a), int(b)) for a, b, s in zip(k, l, c)]
+    assert got.tolist() == want
+
+
 def test_count_rows_matches_per_row_packing():
     # Reference: the per-row packing the grouped count replaced.
     def per_row(rows):
