@@ -10,16 +10,18 @@ unchanged. Equal draws always take full effect, so a single operator can
 still flip both sides (e.g. XOR turns an agreeing pair into zeros).
 
 Communication classes are the strongly connected components of the
-positive-probability transition digraph. The digraph support is computed
-exactly, each arc once: an arc s -> t exists iff some (edge, op, op) draw
-maps s to t, so no float threshold is ever involved. The chain is absorbing
-when it has an absorbing state and every state reaches one. analyze decides
-this from the strong components of one rule set: every closed class must be
-a single absorbing state. The all-rule-set sweep decides it for every reach
-table at once by one backward reachability pass, with no strong components.
-Absorption probabilities solve (I - Q^T) y = e_start by restarted GMRES,
-where Q and R are the transient-to-transient and transient-to-absorbing
-blocks, and return R^T y only when a residual bound certifies its error.
+positive-probability transition digraph. Its support is computed exactly,
+one cell per state and move, a blocked move being a self-loop, which
+changes no class: an arc s -> t exists iff some (edge, op, op) draw maps s
+to t, so no float threshold is ever involved. The chain is absorbing when
+it has an absorbing state and every state reaches one. analyze decides
+this from the strong components of one rule set: every closed class must
+be a single absorbing state. The all-rule-set sweep decides it for every
+reach table at once by one backward reachability pass, with no strong
+components. Absorption probabilities solve (I - Q^T) y = e_start by
+restarted GMRES, where Q and R are the transient-to-transient and
+transient-to-absorbing blocks, and return R^T y only when a residual bound
+certifies its error.
 """
 
 from __future__ import annotations
@@ -273,21 +275,21 @@ def _moves(g: Graph, reach: np.ndarray):
 
 
 def _support(g: Graph, reach: np.ndarray):
-    """Exact positive-probability support of the chain, as CSR rows.
+    """Exact positive-probability support of the chain, as fixed-width rows.
 
-    Returns (indptr, indices, absorbing). Row s lists each state t != s
-    that one step can reach from s, once and in ascending order, which is
-    the canonical form csgraph needs. The moves come from _moves. The
+    Returns (targets, absorbing). Row s of the (2^n, cols) int32 table holds,
+    in ascending order, s ^ mask for each move of _moves that s allows and
+    s itself for each one it blocks. A self-loop changes no strong
+    component, so the rows serve csgraph as CSR rows of width cols. The
     absorbing mask flags states with no move. Raises CapacityError, before
     any large allocation, when the estimated peak exceeds ANALYZE_BYTES.
     """
     n, size = g.n, 1 << g.n
     cols = n + len(g.edges) * _has_double_flips(reach)
-    # Peak bytes, at most: per (state, column) cell, the move flag, its
-    # inverse and an int32 target while building, and later per arc, at
-    # most one a cell, the int32 target and source classes, a flag and a
-    # leaving class; per state, a few int32 and intp vectors.
-    need = size * (13 * cols + 64)
+    # Peak bytes, at most: per (state, column) cell, the move flag and the
+    # int32 target, and a byte of headroom; per state, the vectors of the
+    # move build, the strong components and the closed-class pass.
+    need = size * (6 * cols + 64)
     if need > ANALYZE_BYTES:
         raise CapacityError(
             f"analysis of n={n} with {cols} moves a state needs about "
@@ -295,16 +297,13 @@ def _support(g: Graph, reach: np.ndarray):
         )
     ok, masks = _moves(g, reach[..., None])
     ok = ok[..., 0]
-    counts = np.count_nonzero(ok, axis=1)
-    # Distinct masks give distinct targets. Blocked cells hold the sentinel
-    # 2^n, which sorts after every state, so each sorted row starts with
-    # its targets.
-    targets = np.arange(size, dtype=np.int32)[:, None] ^ masks
-    np.copyto(targets, size, where=~ok)
+    absorbing = ~ok.any(axis=1)
+    # Blocked cells hold s ^ 0. Distinct masks keep the other targets distinct.
+    targets = np.multiply(ok, masks, dtype=np.int32)
     del ok
+    targets ^= np.arange(size, dtype=np.int32)[:, None]
     targets.sort(axis=1)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    return indptr, targets[targets < size], counts == 0
+    return targets, absorbing
 
 
 def analyze(spec: ChainSpec) -> ChainAnalysis:
@@ -314,29 +313,29 @@ def analyze(spec: ChainSpec) -> ChainAnalysis:
     positive by construction), so any two positive probability assignments
     give identical results.
     """
-    n = spec.graph.n
-    indptr, indices, absorbing = _support(spec.graph, _reach(spec.rules.op_set))
-    size = 1 << n
+    targets, absorbing = _support(spec.graph, _reach(spec.rules.op_set))
+    size, cols = targets.shape
     # csgraph casts the data to float64, and for any other dtype copies the
     # indices too; a read-only broadcast 1.0 costs neither.
-    adj = sparse.csr_matrix(
-        (np.broadcast_to(1.0, indices.shape), indices, indptr), shape=(size, size)
-    )
+    ones = np.broadcast_to(1.0, targets.size)
+    indptr = np.arange(0, targets.size + 1, cols, dtype=np.int32)
+    adj = sparse.csr_matrix((ones, targets.reshape(-1), indptr), shape=(size, size))
     class_count, labels = csgraph.connected_components(
         adj, directed=True, connection="strong"
     )
-    dst_class = labels[indices]
-    del adj, indices  # freed before the next array over the arcs
-    src_class = np.repeat(labels, np.diff(indptr))
+    # A class is closed when no arc out of its states leaves it.
+    leaving = np.zeros(size, dtype=bool)
+    for col in targets.T:
+        leaving |= labels[col] != labels
     closed = np.ones(class_count, dtype=bool)
-    closed[src_class[src_class != dst_class]] = False
+    closed[labels[leaving]] = False
     transient = ~closed[labels]
     # From every state some path leads into a closed class, and an absorbing
     # state is a closed class of its own. So every state reaches an absorbing
     # state exactly when every closed class is one.
     is_absorbing_chain = bool(np.count_nonzero(closed) == np.count_nonzero(absorbing))
     return ChainAnalysis(
-        n=n,
+        n=spec.graph.n,
         class_of=labels,
         class_count=int(class_count),
         absorbing=absorbing,
@@ -519,18 +518,18 @@ def export_dot(spec: ChainSpec) -> str:
     if n > MAX_DOT_N:
         raise CapacityError(f"n={n} exceeds the diagram cap of {MAX_DOT_N}")
     analysis = analyze(spec)
-    indptr, indices, _ = _support(spec.graph, _reach(spec.rules.op_set))
-    size = 1 << n
+    targets, _ = _support(spec.graph, _reach(spec.rules.op_set))
     lines = ["digraph chain {", "  node [style=filled];"]
-    for s in range(size):
+    for s in range(1 << n):
         label = format_state(s, n)
         hue = (int(analysis.class_of[s]) * 0.618034) % 1.0
         color = f"{hue:.3f} 0.400 0.950"
         shape = ' shape=doublecircle' if analysis.absorbing[s] else ""
         lines.append(f'  "{label}" [fillcolor="{color}"{shape}];')
-    for s in range(size):
-        for t in indices[indptr[s] : indptr[s + 1]].tolist():
-            lines.append(f'  "{format_state(s, n)}" -> "{format_state(t, n)}";')
+    for s, row in enumerate(targets.tolist()):
+        for t in row:
+            if t != s:
+                lines.append(f'  "{format_state(s, n)}" -> "{format_state(t, n)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -118,14 +118,14 @@ def _cmd_absorb_prob(args, g: graphs.Graph) -> int:
 def _cmd_simulate(args, g: graphs.Graph, seed: int) -> int:
     ruleset = _rule_set(args)
     spec = chain.ChainSpec(g, ruleset)
-    start = chain.parse_state(args.start, g.n) if args.start else None
+    start = chain.parse_state(args.start, g.n) if args.start is not None else None
     config = simulate.SimConfig(
         spec=spec,
         horizon=args.horizon,
         rounds=args.rounds,
         seed=seed,
         start=start,
-        delta0=args.delta0 if start is None else None,
+        delta0=args.delta0,
         sample_every=args.sample_every,
     )
     result = simulate.run(config)

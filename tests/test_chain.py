@@ -275,10 +275,14 @@ def _coo_support_classes(spec):
         (np.ones(len(src), dtype=bool), (src, dst)), shape=(size, size)
     )
     _, labels = csgraph.connected_components(adj, directed=True, connection="strong")
-    return adj, labels
+    return labels
 
 
 def test_support_rows_are_canonical():
+    # Each row of the support table is sorted and has one entry per move:
+    # the states one step reaches, each once, and s itself for each
+    # blocked move. csgraph loops or miscounts on repeated targets other
+    # than s, so none may appear.
     rng = random.Random(29)
     specs = []
     for _ in range(50):
@@ -297,17 +301,19 @@ def test_support_rows_are_canonical():
         )
     ]
     for spec in specs:
-        indptr, indices, stuck = chain._support(
-            spec.graph, chain._reach(spec.rules.op_set)
-        )
-        for s in range(1 << spec.graph.n):
-            row = indices[indptr[s] : indptr[s + 1]].tolist()
-            assert all(a < b for a, b in zip(row, row[1:]))
-            moves = {t for t, _ in chain.transition_row(spec, s).targets} - {s}
-            assert set(row) == moves
-            assert bool(stuck[s]) == (not row)
-        adj, labels = _coo_support_classes(spec)
-        assert (adj.indptr == indptr).all() and (adj.indices == indices).all()
+        g = spec.graph
+        reach = chain._reach(spec.rules.op_set)
+        targets, stuck = chain._support(g, reach)
+        cols = g.n + len(g.edges) * chain._has_double_flips(reach)
+        assert targets.dtype == np.int32 and targets.shape == (1 << g.n, cols)
+        assert (np.diff(targets, axis=1) >= 0).all()
+        for s, row in enumerate(targets.tolist()):
+            moves = [t for t in row if t != s]
+            assert len(set(moves)) == len(moves)
+            row_targets = chain.transition_row(spec, s).targets
+            assert set(moves) == {t for t, _ in row_targets} - {s}
+            assert bool(stuck[s]) == (not moves)
+        labels = _coo_support_classes(spec)
         assert chain.analyze(spec).class_of.tobytes() == labels.tobytes()
 
 
@@ -342,6 +348,49 @@ def test_analyze_refuses_before_allocating():
             tracemalloc.stop()
             assert elapsed < 1.0
             assert peak < 1 << 20
+
+
+class _Admitted(Exception):
+    """Raised by a stand-in move build: the input passed the byte estimate."""
+
+
+def test_analyze_budget_admits_without_allocating(monkeypatch):
+    # The estimate alone decides, and nothing is allocated: an admitted
+    # input reaches the move build, which raises a marker here. n = 23 fits
+    # under AND/OR; so does complete(20) with its 190 double-flip columns,
+    # whose measured peak the README gives under its estimate. n = 24 is
+    # refused (test_analyze_refuses_before_allocating).
+    def admitted(*args):
+        raise _Admitted
+
+    monkeypatch.setattr(chain, "_moves", admitted)
+    for kind, n, ops in (
+        ("cycle", 23, (1, 7)),
+        ("complete", 23, (1, 7)),
+        ("complete", 20, (1, 6, 7)),
+    ):
+        with pytest.raises(_Admitted):
+            chain.analyze(chain.ChainSpec(graphs.make(kind, n), rules.RuleSet(ops)))
+
+
+def test_analyze_estimate_bounds_its_peak():
+    # With the budget set to the peak that analyze was measured at, the
+    # same input must be refused: the estimate is an upper bound.
+    for kind, n, ops in (
+        ("cycle", 16, (1, 7)),
+        ("complete", 14, (1, 7)),
+        ("complete", 12, (1, 6, 7)),
+        ("star", 12, (2, 0xB)),
+    ):
+        spec = chain.ChainSpec(graphs.make(kind, n), rules.RuleSet(ops))
+        tracemalloc.start()
+        chain.analyze(spec)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chain, "ANALYZE_BYTES", peak)
+            with pytest.raises(CapacityError, match="budget"):
+                chain.analyze(spec)
 
 
 def test_support_invariance_quick():

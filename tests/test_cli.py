@@ -129,6 +129,16 @@ def test_simulate_csv_and_seed(capsys, tmp_path):
     assert target.read_text() == first
 
 
+def test_simulate_rejects_start_with_delta0(capsys):
+    # Both start rules at once is an error, not a silent choice of --start.
+    argv = ["simulate", "--graph", "make:cycle:4", "--rules", "1,7", "--horizon", "5"]
+    rc = cli.main(argv + ["--start", "0101", "--delta0", "0.5", "--seed", "3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error: give exactly one of start and delta0" in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_generates_seed(capsys):
     rc = cli.main(
         [

@@ -16,8 +16,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from boolgossip import chain, graphs, rules, simulate
+from boolgossip import chain, graphs, meanfield, rules, simulate
 
 AND, OR = 1, 7
 # Sample means are accepted within this many standard errors of the exact
@@ -29,13 +30,17 @@ def _spec(n: int, p: Fraction) -> chain.ChainSpec:
     return chain.ChainSpec(graphs.make("complete", n), rules.RuleSet((AND, OR), (1 - p, p)))
 
 
-def _count_chain(n: int, p: float, k0: int, horizon: int) -> np.ndarray:
-    """dist[t, k] = P(k_t = k) for the count of ones started at k0."""
+def _count_chain(n: int, p: float, k0, horizon: int) -> np.ndarray:
+    """dist[t, k] = P(k_t = k) for the count of ones started at k0, or
+    from the distribution k0 over 0..n when k0 is a vector."""
     k = np.arange(n + 1)
     move = k * (n - k) / math.comb(n, 2)
     up, down = p * p * move, (1 - p) ** 2 * move
     dist = np.zeros((horizon + 1, n + 1))
-    dist[0, k0] = 1.0
+    if np.ndim(k0):
+        dist[0] = k0
+    else:
+        dist[0, k0] = 1.0
     for t in range(horizon):
         d = dist[t]
         nxt = d * (1.0 - up - down)
@@ -87,3 +92,19 @@ def test_absorption_frequencies_match_gamblers_ruin():
     z = abs(freq - ones) / math.sqrt(ones * (1 - ones) / rounds)
     assert z <= Z_MAX, (freq, ones, z)
     assert result.consensus_fraction == 1.0
+
+
+@pytest.mark.parametrize("p", [0.45, 0.49, 0.51])
+def test_meanfield_model_error_against_exact_mean(p):
+    # The simulator's i.i.d. start at density 1/2 makes the count of ones
+    # Binomial(n, 1/2), so the exact chain gives E[delta_t] with no Monte
+    # Carlo noise. The mean-field model drops correlations, and its largest
+    # gap to that mean is about 4/n at p = 0.49 and 0.51 (0.8/n at 0.45).
+    n, horizon = 200, 8000
+    start = np.array([math.comb(n, k) for k in range(n + 1)]) / 2.0**n
+    exact = _count_chain(n, p, start, horizon) @ np.arange(n + 1) / n
+    params = meanfield.MeanFieldParams(n, p, 0.5)
+    closed = meanfield.closed_form(params, np.arange(horizon + 1))
+    recur = np.array(meanfield.recursion(params, horizon).density)
+    assert np.abs(exact - closed).max() <= 5 / n
+    assert np.abs(exact - recur).max() <= 5 / n
