@@ -1,98 +1,63 @@
-"""Closed-form absorbing-structure oracles, no chain construction needed.
+"""Absorbing states and the closed-form absorbing-chain oracle.
 
-Every state falls into exactly one of six classes by its pattern of equal
-and unequal edges; whether it is absorbing depends only on that class and
-on which stability family contains the rule set (the absorbing module's
-predicates mirror the stability families in the rules module).
+A state is absorbing when no edge of it has an edge code that some draw
+pair of the rule set moves. Which codes move is read from the chain's
+reach table, so the step rule keeps one definition.
 
-The chain-level verdict also has a closed form: for the nine
-parity-sensitive rule sets the chain is absorbing exactly when the graph
-has no odd cycle; for every other rule set the verdict does not depend on
-the graph at all.
+The chain-level verdict has a closed form: for the nine parity-sensitive
+rule sets the chain is absorbing exactly when the graph has no odd cycle;
+for every other rule set the verdict does not depend on the graph at all.
 """
 
 from __future__ import annotations
 
-from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
+from .chain import _reach
 from .errors import PreconditionError
 from .graphs import Graph, has_odd_cycle, is_connected
-from .rules import (
-    NEIGHBOR_COPY,
-    ONE_STABLE,
-    OP_DIFF,
-    OP_FIRST,
-    OP_IMPLIED_BY,
-    PARITY_FAMILIES,
-    SPLIT_STABLE,
-    ZERO_STABLE,
-)
+from .rules import NEIGHBOR_COPY, ONE_STABLE, OPS, PARITY_FAMILIES, ZERO_STABLE
 
 
-class StateClass(Enum):
-    ALL_ZERO = "all-zero"
-    ALL_ONE = "all-one"
-    PROPER = "proper-coloring"  # every edge has unequal endpoints
-    ZERO_PAIR_ONLY = "zero-pair-only"  # some 0-0 edge, no 1-1 edge, some 1
-    ONE_PAIR_ONLY = "one-pair-only"  # some 1-1 edge, no 0-0 edge, some 0
-    BOTH_PAIRS = "both-pairs"  # a 0-0 edge and a 1-1 edge
-
-
-# Rule families under which each state class is frozen.
-_STABLE_FAMILY = {
-    StateClass.ALL_ZERO: ZERO_STABLE,
-    StateClass.ALL_ONE: ONE_STABLE,
-    StateClass.PROPER: SPLIT_STABLE,
-    StateClass.ZERO_PAIR_ONLY: frozenset({OP_DIFF, OP_FIRST}),
-    StateClass.ONE_PAIR_ONLY: frozenset({OP_FIRST, OP_IMPLIED_BY}),
-    StateClass.BOTH_PAIRS: frozenset({OP_FIRST}),
-}
-# The classes told apart by their edge patterns, not by constancy alone.
-_EDGE_CLASSES = (
-    StateClass.PROPER,
-    StateClass.ZERO_PAIR_ONLY,
-    StateClass.ONE_PAIR_ONLY,
-    StateClass.BOTH_PAIRS,
-)
+@lru_cache(maxsize=256)
+def _movable(ops: frozenset) -> tuple[bool, ...]:
+    """movable[c]: some draw pair from ops moves an edge in code c. Cached,
+    since the simulator asks at every sample point of a run."""
+    if not ops <= frozenset(OPS):
+        raise ValueError(f"operator index out of range: {set(ops - frozenset(OPS))}")
+    return tuple(_reach(ops).any(axis=1).tolist())
 
 
 def absorbing_rows(g: Graph, ops, states: np.ndarray) -> np.ndarray:
-    """Vectorized closed-form absorbing test over a (rows, n) 0/1 matrix.
+    """Vectorized absorbing test over a (rows, n) 0/1 matrix of a connected
+    graph, used by the simulator for early exit.
 
-    A row on a connected graph is absorbing exactly when the rule set lies
-    inside the family that freezes its state class; used by the simulator
-    for early exit. Only the masks of the classes the rule set
-    freezes are built: the constant rows from one count of ones per row,
-    and the four edge-pattern classes from one scan of the edges, made only
-    when the rule set freezes one of them. Under AND/OR, for one, only the
-    constant rows can be absorbing, and those need no edges.
+    A row is absorbing when none of its edges has a movable code. When an
+    unequal edge can move, only constant rows can be absorbing, and one
+    count of ones per row decides them with no edge read: under AND/OR,
+    for one. Otherwise only the movable equal codes are looked for, one
+    scan of the edges for each.
     """
     ops = frozenset(ops)
     if not ops:
         raise ValueError("rule set must be nonempty")
+    movable = _movable(ops)
     states = np.asarray(states)
-    frozen = {cls for cls, family in _STABLE_FAMILY.items() if ops <= family}
-    ones = np.einsum("ij->i", states, dtype=np.intp)
-    out = np.zeros(states.shape[0], dtype=bool)
-    if StateClass.ALL_ZERO in frozen:
-        out |= ones == 0
-    if StateClass.ALL_ONE in frozen:
-        out |= ones == states.shape[1]
-    edge_frozen = [cls in frozen for cls in _EDGE_CLASSES]
-    if any(edge_frozen):
-        zero_pair = np.zeros(states.shape[0], dtype=np.uint8)
-        one_pair = np.zeros(states.shape[0], dtype=np.uint8)
-        for i, j in g.edges:
-            a = states[:, i - 1]
-            b = states[:, j - 1]
-            zero_pair |= (a == 0) & (b == 0)
-            one_pair |= (a == 1) & (b == 1)
-        # A row that holds both values is in _EDGE_CLASSES[2 * one_pair +
-        # zero_pair]; a row with no 0 or no 1 is constant.
-        mixed = (ones > 0) & (ones < states.shape[1])
-        out |= mixed & np.array(edge_frozen).reshape(2, 2)[one_pair, zero_pair]
+    if movable[1]:
+        ones = np.einsum("ij->i", states, dtype=np.intp)
+        out = np.zeros(states.shape[0], dtype=bool)
+        if not movable[0]:
+            out |= ones == 0
+        if not movable[3]:
+            out |= ones == states.shape[1]
+        return out
+    out = np.ones(states.shape[0], dtype=bool)
+    for value in (0, 1):
+        if movable[3 * value]:
+            for i, j in g.edges:
+                out &= (states[:, i - 1] != value) | (states[:, j - 1] != value)
     return out
 
 

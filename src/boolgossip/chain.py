@@ -49,6 +49,7 @@ WEIGHT_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 _EXACT_DENOM = 10**6
 ANALYZE_BYTES = 2 << 30  # analyze: estimated peak of its support and class pass
+_CLOSED_BLOCK = 1 << 12  # rows a block of analyze's closed-class pass
 
 
 def format_state(s: int, n: int) -> str:
@@ -288,8 +289,9 @@ def _support(g: Graph, reach: np.ndarray):
     cols = n + len(g.edges) * _has_double_flips(reach)
     # Peak bytes, at most: per (state, column) cell, the move flag and the
     # int32 target, and a byte of headroom; per state, the vectors of the
-    # move build, the strong components and the closed-class pass.
-    need = size * (6 * cols + 64)
+    # move build, the strong components and the closed-class pass; per cell
+    # of a closed-class block, an int32 label and a flag.
+    need = size * (6 * cols + 64) + min(size, _CLOSED_BLOCK) * 5 * cols
     if need > ANALYZE_BYTES:
         raise CapacityError(
             f"analysis of n={n} with {cols} moves a state needs about "
@@ -323,10 +325,13 @@ def analyze(spec: ChainSpec) -> ChainAnalysis:
     class_count, labels = csgraph.connected_components(
         adj, directed=True, connection="strong"
     )
-    # A class is closed when no arc out of its states leaves it.
-    leaving = np.zeros(size, dtype=bool)
-    for col in targets.T:
-        leaving |= labels[col] != labels
+    # A class is closed when no arc out of its states leaves it. The rows are
+    # read in blocks, since a gather by whole rows beats one strided column
+    # at a time when the rows are wide.
+    leaving = np.empty(size, dtype=bool)
+    for start in range(0, size, _CLOSED_BLOCK):
+        rows = slice(start, start + _CLOSED_BLOCK)
+        leaving[rows] = (labels[targets[rows]] != labels[rows, None]).any(axis=1)
     closed = np.ones(class_count, dtype=bool)
     closed[labels[leaving]] = False
     transient = ~closed[labels]

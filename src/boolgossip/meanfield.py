@@ -21,11 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CapacityError
+
 KIND_CLOSED = "meanfield_closed"
 KIND_RECURSION = "meanfield_recursion"
 KIND_EMPIRICAL = "empirical"
 
 _CLAMP_SLACK = 1e-12
+MAX_GRID_POINTS = 1 << 20  # sample points of one trajectory
 
 
 @dataclass(frozen=True)
@@ -88,8 +91,7 @@ def recursion(params: MeanFieldParams, horizon: int) -> DensityTrajectory:
     [0, 1] by less than 1e-12 and is clamped, anything larger would be a bug
     and raises.
     """
-    if horizon < 0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
+    steps = _sample_grid(horizon, 1)
     coef = 2.0 * (2.0 * params.p_star - 1.0) / params.n
     values = np.empty(horizon + 1)
     d = params.delta0
@@ -101,16 +103,21 @@ def recursion(params: MeanFieldParams, horizon: int) -> DensityTrajectory:
                 raise ArithmeticError(f"density recursion left [0,1]: {d!r}")
             d = min(1.0, max(0.0, d))
         values[t] = d
-    return DensityTrajectory(
-        tuple(range(horizon + 1)), tuple(float(v) for v in values), KIND_RECURSION
-    )
+    return DensityTrajectory(steps, tuple(float(v) for v in values), KIND_RECURSION)
 
 
 def _sample_grid(horizon: int, sample_every: int) -> tuple[int, ...]:
+    """Steps 0, e, 2e, ... below the horizon, then the horizon itself.
+    Raises CapacityError, before any allocation, past MAX_GRID_POINTS."""
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
     if sample_every < 1:
         raise ValueError(f"sample interval must be positive, got {sample_every}")
+    points = -(-horizon // sample_every) + 1
+    if points > MAX_GRID_POINTS:
+        raise CapacityError(
+            f"a grid of {points} sample points exceeds the cap of {MAX_GRID_POINTS}"
+        )
     steps = list(range(0, horizon + 1, sample_every))
     if steps[-1] != horizon:
         steps.append(horizon)

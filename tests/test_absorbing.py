@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import enum
 import functools
 import random
 import types
@@ -11,11 +12,21 @@ import pytest
 
 import corpus
 from boolgossip import absorbing, chain, graphs, rules
-from boolgossip.absorbing import StateClass
 from boolgossip.errors import PreconditionError
 
-# The scalar reference for absorbing_rows: one state word at a time, each
-# state class decided by a walk over the edges and frozen by its own family.
+
+class StateClass(enum.Enum):
+    ALL_ZERO = "all-zero"
+    ALL_ONE = "all-one"
+    PROPER = "proper-coloring"  # every edge has unequal endpoints
+    ZERO_PAIR_ONLY = "zero-pair-only"  # some 0-0 edge, no 1-1 edge, some 1
+    ONE_PAIR_ONLY = "one-pair-only"  # some 1-1 edge, no 0-0 edge, some 0
+    BOTH_PAIRS = "both-pairs"  # a 0-0 edge and a 1-1 edge
+
+
+# The scalar reference for absorbing_rows, in the paper's closed form: one
+# state word at a time, each of the six state classes decided by a walk over
+# the edges and frozen by its own rule family.
 STABLE_FAMILY = {
     StateClass.ALL_ZERO: rules.ZERO_STABLE,
     StateClass.ALL_ONE: rules.ONE_STABLE,
@@ -225,6 +236,40 @@ def test_absorbing_rows_counts_ones_past_255():
     assert absorbing.absorbing_rows(star, rule_sets[2], rows).tolist() == [
         False, True, True, False, True
     ]
+
+
+def test_absorbing_rows_matches_analyze_per_reach_table(paw):
+    # absorbing_rows reads only which edge codes move, so one rule set per
+    # reach table covers every rule set; analyze builds the chain itself.
+    tables = {}
+    for mask in range(1, 1 << 16):
+        ops = rules.mask_ops(mask)
+        tables.setdefault(chain._reach(ops).tobytes(), ops)
+    assert len(tables) == 72
+    for g in (
+        graphs.make("line", 5),
+        graphs.make("cycle", 5),
+        graphs.make("cycle", 6),
+        graphs.make("star", 5),
+        graphs.make("complete", 5),
+        paw,
+    ):
+        words = np.arange(1 << g.n)
+        all_states = (words[:, None] >> np.arange(g.n) & 1).astype(np.uint8)
+        for ops in tables.values():
+            want = chain.analyze(chain.ChainSpec(g, rules.RuleSet(tuple(sorted(ops)))))
+            got = absorbing.absorbing_rows(g, ops, all_states)
+            assert (got == want.absorbing).all(), (g, sorted(ops))
+
+
+def test_absorbing_rows_rejects_operators_out_of_range():
+    g = graphs.make("cycle", 4)
+    rows = np.array([[0, 0, 0, 0], [1, 1, 1, 1], [0, 1, 0, 1]], dtype=np.uint8)
+    for ops in ({16}, {-1}, {1, 7, 99}):
+        with pytest.raises(ValueError, match="out of range"):
+            absorbing.absorbing_rows(g, ops, rows)
+    with pytest.raises(ValueError, match="nonempty"):
+        absorbing.absorbing_rows(g, set(), rows)
 
 
 def test_absorbing_set_closed_form_small_graphs():

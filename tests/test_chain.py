@@ -393,6 +393,16 @@ def test_analyze_estimate_bounds_its_peak():
                 chain.analyze(spec)
 
 
+def test_analyze_closed_classes_past_one_block():
+    # More states than one block of the closed-class pass: under AND/OR
+    # every state but the two consensus states is transient.
+    for kind, n in (("cycle", 13), ("complete", 13), ("line", 14)):
+        assert 1 << n > chain._CLOSED_BLOCK
+        a = chain.analyze(chain.ChainSpec(graphs.make(kind, n), rules.RuleSet((1, 7))))
+        assert a.is_absorbing_chain
+        assert a.transient_states == frozenset(range(1, (1 << n) - 1))
+
+
 def test_support_invariance_quick():
     g = graphs.parse_edge_list("1 2\n2 3\n2 4\n3 4")
     base = chain.analyze(chain.ChainSpec(g, rules.RuleSet((2, 0xB))))

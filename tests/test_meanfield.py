@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from boolgossip import meanfield
+from boolgossip import chain, graphs, meanfield, rules, simulate
+from boolgossip.errors import CapacityError
 from boolgossip.meanfield import DensityTrajectory, MeanFieldParams
 
 
@@ -96,6 +97,33 @@ def test_closed_form_trajectory_grid():
     )
     with pytest.raises(ValueError):
         meanfield.closed_form_trajectory(params, 10, sample_every=0)
+
+
+def test_grid_cap_admits_its_last_point(monkeypatch):
+    monkeypatch.setattr(meanfield, "MAX_GRID_POINTS", 11)
+    params = MeanFieldParams(20, 0.4, 0.5)
+    assert len(meanfield.recursion(params, 10).steps) == 11
+    assert len(meanfield.closed_form_trajectory(params, 100, sample_every=10).steps) == 11
+    with pytest.raises(CapacityError, match="cap of 11"):
+        meanfield.recursion(params, 11)
+    with pytest.raises(CapacityError, match="12 sample points"):
+        meanfield.closed_form_trajectory(params, 101, sample_every=10)
+
+
+def test_grid_cap_refuses_before_allocating():
+    # A grid of 10^18 points could never be allocated, so reaching the
+    # CapacityError shows that the check comes first, on every path that
+    # builds a grid.
+    params = MeanFieldParams(1000, 0.49, 0.5)
+    huge = 10**18
+    with pytest.raises(CapacityError, match="exceeds the cap"):
+        meanfield.recursion(params, huge)
+    with pytest.raises(CapacityError, match="exceeds the cap"):
+        meanfield.closed_form_trajectory(params, huge, sample_every=7)
+    spec = chain.ChainSpec(graphs.make("cycle", 4), rules.RuleSet((1, 7)))
+    config = simulate.SimConfig(spec, huge, rounds=10, seed=1, delta0=0.5)
+    with pytest.raises(CapacityError, match="exceeds the cap"):
+        simulate.run(config)
 
 
 def test_to_csv_round_trip():

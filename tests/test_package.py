@@ -8,7 +8,12 @@ import boolgossip
 
 # Names that only tests used; each module that defined one no longer does.
 REMOVED = {
-    "absorbing": ("check_graph_independence", "classify_state", "is_absorbing_state"),
+    "absorbing": (
+        "StateClass",
+        "check_graph_independence",
+        "classify_state",
+        "is_absorbing_state",
+    ),
     "graphs": ("serialize_edge_list",),
     "rules": (
         "all_rule_sets",
