@@ -8,8 +8,9 @@ other graph without an odd cycle, and 3 otherwise.
 The line and cycle cases are organized by state reductions: run-length
 collapse along the path order, and the cyclic variant that also drops the
 last digit when it matches the first. States on a line communicate exactly
-when they share a reduction; on a cycle the class is fixed by the number
-of unequal-endpoint edges.
+when they share a reduction. A reduction alternates, so a line class is
+keyed by the bit of the lower-labelled end and the number of
+unequal-endpoint edges; on a cycle the class is fixed by that count alone.
 """
 
 from __future__ import annotations
@@ -105,92 +106,57 @@ def predict_chi(g: Graph) -> int:
     return 3 if shape.has_odd_cycle else 5
 
 
-def _line_order(g: Graph) -> list[int]:
-    # Walk the path starting from the smaller-labeled endpoint.
-    start = min(i for i in range(1, g.n + 1) if g.degree(i) == 1)
-    order = [start]
-    prev = None
-    current = start
-    while len(order) < g.n:
-        nxt = [v for v in g.neighbors(current) if v != prev]
-        prev, current = current, nxt[0]
-        order.append(current)
-    return order
+def _fibers(key: np.ndarray, count: int) -> list[frozenset[int]]:
+    # The states of each key value 0..count-1, in key order.
+    order = np.argsort(key, kind="stable")
+    cuts = np.cumsum(np.bincount(key, minlength=count))[:-1]
+    return [frozenset(part.tolist()) for part in np.split(order, cuts)]
 
 
 def predict_classes(g: Graph) -> ClassPrediction:
     """Explicit predicted class partition of the AND/OR chain.
 
-    Line: one class per reduction value. Cycle: the two constant states,
-    one class per even count of unequal-endpoint edges, and on even cycles
-    the two alternating states as extra singletons. Other bipartite graphs:
-    the two constant states, the two proper 2-colorings, and everything
-    else. Graphs with an odd cycle: the two constant states and the rest.
+    Line: one class per reduction, keyed by 2 * unequal + the bit of the
+    lower-labelled end, which is the (length, digits) order. Other shapes:
+    the two constant states and, when the graph is bipartite, its two
+    colorings as singletons; then on a cycle one class per even count of
+    unequal-endpoint edges, and elsewhere everything else.
     """
     if not is_connected(g):
         raise PreconditionError("class prediction needs a connected graph")
     n = g.n
     if n > MAX_PARTITION_N:
         raise CapacityError(f"n={n} exceeds the partition cap of {MAX_PARTITION_N}")
-    size = 1 << n
-    full = size - 1
-    shape = classify_shape(g)
-
-    if shape.tag is ShapeTag.LINE:
-        order = _line_order(g)
-        fibers: dict[tuple[int, ...], list[int]] = {}
-        for s in range(size):
-            digits = _collapse([s >> (i - 1) & 1 for i in order])
-            fibers.setdefault(digits, []).append(s)
-        items = sorted(fibers.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        classes = tuple(frozenset(members) for _, members in items)
-        labels = tuple(
-            "reduction " + "".join(map(str, digits)) for digits, _ in items
-        )
-        return ClassPrediction(len(classes), classes, labels)
-
-    if shape.tag is ShapeTag.CYCLE:
-        states = np.arange(size, dtype=np.uint32)
-        boundary = np.zeros(size, dtype=np.int32)
-        for i, j in g.edges:
-            bi = (states >> np.uint32(i - 1)) & np.uint32(1)
-            bj = (states >> np.uint32(j - 1)) & np.uint32(1)
-            boundary += (bi != bj).astype(np.int32)
-        classes = [frozenset({0}), frozenset({full})]
-        labels = ["all-zeros", "all-ones"]
-        if n % 2 == 0:
-            colors = bipartition(g)
-            alt = sum(1 << (i - 1) for i in range(1, n + 1) if colors[i])
-            classes.extend([frozenset({alt}), frozenset({full ^ alt})])
-            labels.extend(["alternating", "alternating complement"])
-        for d in range(2, n, 2):
-            members = frozenset(int(s) for s in np.nonzero(boundary == d)[0])
-            classes.append(members)
-            labels.append(f"{d} unequal edges")
-        return ClassPrediction(len(classes), tuple(classes), tuple(labels))
-
-    if shape.has_odd_cycle:
-        rest = frozenset(range(1, full))
-        return ClassPrediction(
-            3,
-            (frozenset({0}), frozenset({full}), rest),
-            ("all-zeros", "all-ones", "mixed"),
-        )
+    full = (1 << n) - 1
+    tag = classify_shape(g).tag
+    if tag in (ShapeTag.LINE, ShapeTag.CYCLE):
+        states = np.arange(full + 1)[:, None]
+        i, j = np.array(g.edges).T - 1
+        unequal = ((states >> i ^ states >> j) & 1).sum(axis=1)
+    if tag is ShapeTag.LINE:
+        end = min(v for v in range(1, n + 1) if g.degree(v) == 1)
+        key = 2 * unequal + (states[:, 0] >> (end - 1) & 1)
+        labels = ["reduction " + ("01" * n)[k % 2 :][: k // 2 + 1] for k in range(2 * n)]
+        return ClassPrediction(2 * n, tuple(_fibers(key, 2 * n)), tuple(labels))
 
     colors = bipartition(g)
-    side = sum(1 << (i - 1) for i in range(1, n + 1) if colors[i])
-    rest = frozenset(s for s in range(size) if s not in {0, full, side, full ^ side})
-    return ClassPrediction(
-        5,
-        (
-            frozenset({0}),
-            frozenset({full}),
-            frozenset({side}),
-            frozenset({full ^ side}),
-            rest,
-        ),
-        ("all-zeros", "all-ones", "coloring", "coloring complement", "mixed"),
-    )
+    fixed = [0, full]
+    labels = ["all-zeros", "all-ones"]
+    if colors is not None:
+        side = sum(1 << (v - 1) for v in range(1, n + 1) if colors[v])
+        name = "alternating" if tag is ShapeTag.CYCLE else "coloring"
+        fixed += [side, full ^ side]
+        labels += [name, name + " complement"]
+    classes = [frozenset({s}) for s in fixed]
+    if tag is ShapeTag.CYCLE:
+        classes += _fibers(unequal, n)[2:n:2]
+        labels += [f"{d} unequal edges" for d in range(2, n, 2)]
+    else:
+        mixed = np.ones(full + 1, dtype=bool)
+        mixed[fixed] = False
+        classes.append(frozenset(np.flatnonzero(mixed).tolist()))
+        labels.append("mixed")
+    return ClassPrediction(len(classes), tuple(classes), tuple(labels))
 
 
 def consensus_probability(spec: ChainSpec, start: int) -> float:

@@ -224,14 +224,35 @@ _PAIR_STEP = np.array(
 )
 
 
+# _SIGNATURE[mask] packs the reach table of the rule set with that 16-bit
+# mask: bit 4c + c' is set when some draw pair of the set moves edge code c
+# to c' != c. word[k, l] packs the moves of the draw pair (k, l) alone. The
+# table is built one operator k at a time: a mask holding k and a set S of
+# smaller operators ORs _SIGNATURE[S], word[k, k] and word[k, l] | word[l, k]
+# for each l in S.
+def _signatures() -> np.ndarray:
+    codes = np.arange(4)
+    word = np.where(_PAIR_STEP != codes, 1 << (4 * codes + _PAIR_STEP), 0).sum(
+        axis=2, dtype=np.uint16
+    )
+    signature = np.zeros(1, dtype=np.uint16)
+    for k in range(16):
+        cross = np.zeros(1, dtype=np.uint16)
+        for l in range(k):
+            cross = np.concatenate([cross, cross | word[k, l] | word[l, k]])
+        signature = np.concatenate([signature, signature | word[k, k] | cross])
+    return signature
+
+
+_SIGNATURE = _signatures()
+# _SHIFT[c, c']: the bit of a signature that says c moves to c'.
+_SHIFT = 4 * np.arange(4)[:, None] + np.arange(4)
+
+
 def _reach(op_set) -> np.ndarray:
     """reach[c, c']: some draw pair from op_set moves edge code c to c' != c."""
-    ops = sorted(op_set)
-    outcomes = _PAIR_STEP[np.ix_(ops, ops)].reshape(-1, 4)
-    reach = np.zeros((4, 4), dtype=bool)
-    reach[np.arange(4), outcomes] = True
-    np.fill_diagonal(reach, False)
-    return reach
+    mask = sum(1 << k for k in op_set)
+    return (int(_SIGNATURE[mask]) >> _SHIFT & 1).astype(bool)
 
 
 def _has_double_flips(reach: np.ndarray) -> bool:
@@ -480,25 +501,9 @@ def sweep_absorbing_verdicts(g: Graph) -> np.ndarray:
         raise PreconditionError("interaction graph must be connected")
     if g.n > MAX_SWEEP_N:
         raise CapacityError(f"n={g.n} exceeds the sweep cap of {MAX_SWEEP_N}")
-    # word[k, l] packs the moves of the draw pair (k, l) into 16 bits, bit
-    # 4c + c' for c -> c' != c. signature[mask] ORs word over the draw pairs
-    # of the rule set, so it packs the set's _reach table. It is built one
-    # operator k at a time: a mask holding k and a set S of smaller
-    # operators ORs signature[S], word[k, k] and word[k, l] | word[l, k] for
-    # each l in S.
-    codes = np.arange(4)
-    word = np.where(_PAIR_STEP != codes, 1 << (4 * codes + _PAIR_STEP), 0).sum(
-        axis=2, dtype=np.uint16
-    )
-    signature = np.zeros(1, dtype=np.uint16)
-    for k in range(16):
-        cross = np.zeros(1, dtype=np.uint16)
-        for l in range(k):
-            cross = np.concatenate([cross, cross | word[k, l] | word[l, k]])
-        signature = np.concatenate([signature, signature | word[k, k] | cross])
-    tables, inverse = np.unique(signature[1:], return_inverse=True)
+    tables, inverse = np.unique(_SIGNATURE[1:], return_inverse=True)
     # reach[c, c', t]: table t moves an edge in code c to c'.
-    reach = (tables >> (4 * codes[:, None, None] + codes[:, None]) & 1).astype(bool)
+    reach = (tables >> _SHIFT[..., None] & 1).astype(bool)
     ok, masks = _moves(g, reach)
     states = np.arange(1 << g.n, dtype=np.int32)
     # reached[s, t]: state s reaches an absorbing state under table t. It
@@ -539,15 +544,13 @@ def export_dot(spec: ChainSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_csv(spec: ChainSpec, states=None) -> str:
+def export_csv(spec: ChainSpec) -> str:
     """CSV table of transition rows: source,target,prob with bitstring states."""
     n = spec.graph.n
     if n > MAX_SOLVE_N:
         raise CapacityError(f"n={n} exceeds the table cap of {MAX_SOLVE_N}")
-    if states is None:
-        states = range(1 << n)
     lines = ["source,target,prob"]
-    for s in states:
+    for s in range(1 << n):
         row = transition_row(spec, s)
         for t, p in row.targets:
             lines.append(f"{format_state(s, n)},{format_state(t, n)},{p!r}")

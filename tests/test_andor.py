@@ -130,6 +130,46 @@ def test_predict_classes_matches_brute_force():
         assert set(pred.classes) == _brute_partition(g)
 
 
+def test_predict_classes_labels_and_order():
+    rng = random.Random(41)
+    for n in range(2, 9):
+        # Node v of the path 1..n is relabelled perm[v - 1], so the path
+        # order differs from the label order; walk it from the lower end.
+        perm = rng.sample(range(1, n + 1), n)
+        g = graphs.Graph(n, tuple((perm[v - 1], perm[v]) for v in range(1, n)))
+        order = perm if perm[0] < perm[-1] else perm[::-1]
+        pred = andor.predict_classes(g)
+        assert pred.chi == len(pred.labels) == 2 * n
+        digits = [label.removeprefix("reduction ") for label in pred.labels]
+        assert digits == sorted(digits, key=lambda d: (len(d), d))
+        for label, members in zip(pred.labels, pred.classes):
+            for s in members:
+                walked = sum((s >> (v - 1) & 1) << idx for idx, v in enumerate(order))
+                assert label == f"reduction {andor.line_reduce(walked, n)}"
+        assert sum(map(len, pred.classes)) == 1 << n
+    for n in range(3, 10):
+        g = graphs.make("cycle", n)
+        pred = andor.predict_classes(g)
+        alternating = ["alternating", "alternating complement"] if n % 2 == 0 else []
+        unequal = [f"{d} unequal edges" for d in range(2, n, 2)]
+        assert list(pred.labels) == ["all-zeros", "all-ones"] + alternating + unequal
+        for label, members in zip(pred.labels, pred.classes):
+            if label.endswith("unequal edges"):
+                d = int(label.split()[0])
+                for s in members:
+                    assert sum((s >> (i - 1) ^ s >> (j - 1)) & 1 for i, j in g.edges) == d
+    theta = graphs.parse_edge_list("1 2\n2 3\n3 4\n4 1\n2 5\n5 4")
+    assert andor.predict_classes(theta).labels == (
+        "all-zeros",
+        "all-ones",
+        "coloring",
+        "coloring complement",
+        "mixed",
+    )
+    paw = graphs.parse_edge_list("1 2\n2 3\n2 4\n3 4")
+    assert andor.predict_classes(paw).labels == ("all-zeros", "all-ones", "mixed")
+
+
 def test_predict_classes_star_fibers():
     pred = andor.predict_classes(graphs.make("star", 4))
     by_label = dict(zip(pred.labels, pred.classes))

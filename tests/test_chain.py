@@ -74,6 +74,24 @@ def test_pair_step_is_symmetric_in_its_endpoints():
                 assert chain._PAIR_STEP[k, l, swap(c)] == swap(chain._PAIR_STEP[l, k, c])
 
 
+def test_reach_matches_step_pair_for_every_mask():
+    # The reference ORs, for each draw pair (k, l) and edge code c, the move
+    # step_pair makes into every mask holding both k and l.
+    masks = np.arange(1 << 16)
+    expected = np.zeros((1 << 16, 4, 4), dtype=bool)
+    for k in range(16):
+        for l in range(16):
+            both = (masks >> k & 1) & (masks >> l & 1) == 1
+            for c in range(4):
+                t = chain.step_pair(c, (1, 2), k, l)
+                if t != c:
+                    expected[both, c, t] = True
+    got = np.stack([chain._reach(rules.mask_ops(mask)) for mask in range(1, 1 << 16)])
+    differ = np.flatnonzero((got != expected[1:]).any(axis=(1, 2))) + 1
+    assert differ.size == 0, f"{differ.size} masks differ, first {differ[:5].tolist()}"
+    assert len(np.unique(got.reshape(-1, 16), axis=0)) == 72
+
+
 def test_step_pair_touches_only_edge_bits():
     rng = random.Random(31)
     for _ in range(300):
