@@ -26,11 +26,11 @@ samples = [
 
 print(f"{'graph':<12} {'shape':<18} {'predicted':>9} {'brute':>6}")
 for name, g in samples:
-    shape = graphs.classify_shape(g)
+    tag = graphs.classify_shape(g)
     predicted = andor.predict_chi(g)
     brute = chain.analyze(chain.ChainSpec(g, AND_OR)).class_count
     flag = "" if predicted == brute else "  MISMATCH"
-    print(f"{name:<12} {shape.tag.value:<18} {predicted:>9} {brute:>6}{flag}")
+    print(f"{name:<12} {tag.value:<18} {predicted:>9} {brute:>6}{flag}")
 
 # The predicted partition is exact, not just the count: on the star the
 # five classes are the two consensus states, the two proper colorings,

@@ -2,7 +2,8 @@
 
 A state is absorbing when no edge of it has an edge code that some draw
 pair of the rule set moves. Which codes move is read from the chain's
-reach table, so the step rule keeps one definition.
+reach table at each call, so the step rule keeps one definition; the read
+is a table lookup, too cheap to cache.
 
 The chain-level verdict has a closed form: for the nine parity-sensitive
 rule sets the chain is absorbing exactly when the graph has no odd cycle;
@@ -11,23 +12,12 @@ for every other rule set the verdict does not depend on the graph at all.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .chain import _reach
 from .errors import PreconditionError
 from .graphs import Graph, has_odd_cycle, is_connected
 from .rules import NEIGHBOR_COPY, ONE_STABLE, OPS, PARITY_FAMILIES, ZERO_STABLE
-
-
-@lru_cache(maxsize=256)
-def _movable(ops: frozenset) -> tuple[bool, ...]:
-    """movable[c]: some draw pair from ops moves an edge in code c. Cached,
-    since the simulator asks at every sample point of a run."""
-    if not ops <= frozenset(OPS):
-        raise ValueError(f"operator index out of range: {set(ops - frozenset(OPS))}")
-    return tuple(_reach(ops).any(axis=1).tolist())
 
 
 def absorbing_rows(g: Graph, ops, states: np.ndarray) -> np.ndarray:
@@ -43,7 +33,8 @@ def absorbing_rows(g: Graph, ops, states: np.ndarray) -> np.ndarray:
     ops = frozenset(ops)
     if not ops:
         raise ValueError("rule set must be nonempty")
-    movable = _movable(ops)
+    # movable[c]: some draw pair from ops moves an edge in code c.
+    movable = _reach(ops).any(axis=1)
     states = np.asarray(states)
     if movable[1]:
         ones = np.einsum("ij->i", states, dtype=np.intp)
@@ -72,6 +63,10 @@ def is_absorbing_chain_oracle(g: Graph, ops) -> bool:
     with a single dissenting value keeps exactly one dissenter forever and
     never reaches a consensus state (the only absorbing states such sets
     admit on a connected graph).
+
+    Operators must lie in 0..15, as RuleSet, parse_rules and mask_ops
+    ensure. The oracle does not check it: sweeps call it once per rule mask,
+    and a full range check adds a fifth to a half to each call.
     """
     ops = frozenset(ops)
     if not ops:
@@ -86,23 +81,24 @@ def is_absorbing_chain_oracle(g: Graph, ops) -> bool:
 
 
 def oracle_reason(g: Graph, ops) -> tuple[bool, str]:
-    """The branch of is_absorbing_chain_oracle that decides (g, ops): the
-    verdict it gives and, in words, why. It takes the oracle's branches in
-    the oracle's order, for the CLI to print; the oracle itself stays a bare
-    lookup, since callers run it over all 65535 rule sets.
+    """The verdict of is_absorbing_chain_oracle on (g, ops) and, in words,
+    the branch that decides it, for the CLI to print. It refuses what the
+    oracle refuses, and operators outside 0..15.
     """
     ops = frozenset(ops)
+    if not ops <= frozenset(OPS):
+        raise ValueError(f"operator index out of range: {set(ops - frozenset(OPS))}")
+    verdict = is_absorbing_chain_oracle(g, ops)
     if ops in PARITY_FAMILIES:
-        if has_odd_cycle(g):
-            return False, "rules are parity-sensitive and an odd cycle is present"
-        return True, "rules are parity-sensitive and the graph has no odd cycle"
+        cycle = "the graph has no odd cycle" if verdict else "an odd cycle is present"
+        return verdict, "rules are parity-sensitive and " + cycle
     if ops <= NEIGHBOR_COPY:
-        return False, "rules only copy the neighbour, so one dissenter never vanishes"
+        return verdict, "rules only copy the neighbour, so one dissenter never vanishes"
     inside = []
     if ops <= ZERO_STABLE:
         inside.append("the all-zeros-stable family")
     if ops <= ONE_STABLE:
         inside.append("the all-ones-stable family")
     if inside:
-        return True, "rules lie inside " + " and ".join(inside)
-    return False, "rules fix neither all-zeros nor all-ones"
+        return verdict, "rules lie inside " + " and ".join(inside)
+    return verdict, "rules fix neither all-zeros nor all-ones"

@@ -21,7 +21,14 @@ import numpy as np
 
 from .chain import ChainSpec, absorption_probabilities
 from .errors import CapacityError, PreconditionError
-from .graphs import Graph, ShapeTag, bipartition, classify_shape, is_connected
+from .graphs import (
+    Graph,
+    ShapeTag,
+    bipartition,
+    classify_shape,
+    has_odd_cycle,
+    is_connected,
+)
 from .rules import AND_OR
 
 MAX_PARTITION_N = 16
@@ -98,12 +105,12 @@ def predict_chi(g: Graph) -> int:
     """Closed-form class count of the AND/OR chain from the graph shape."""
     if not is_connected(g):
         raise PreconditionError("class-count formula needs a connected graph")
-    shape = classify_shape(g)
-    if shape.tag is ShapeTag.LINE:
+    tag = classify_shape(g)
+    if tag is ShapeTag.LINE:
         return 2 * g.n
-    if shape.tag is ShapeTag.CYCLE:
+    if tag is ShapeTag.CYCLE:
         return g.n // 2 + (3 if g.n % 2 == 0 else 2)
-    return 3 if shape.has_odd_cycle else 5
+    return 3 if has_odd_cycle(g) else 5
 
 
 def _fibers(key: np.ndarray, count: int) -> list[frozenset[int]]:
@@ -128,7 +135,7 @@ def predict_classes(g: Graph) -> ClassPrediction:
     if n > MAX_PARTITION_N:
         raise CapacityError(f"n={n} exceeds the partition cap of {MAX_PARTITION_N}")
     full = (1 << n) - 1
-    tag = classify_shape(g).tag
+    tag = classify_shape(g)
     if tag in (ShapeTag.LINE, ShapeTag.CYCLE):
         states = np.arange(full + 1)[:, None]
         i, j = np.array(g.edges).T - 1

@@ -39,7 +39,7 @@ from scipy.sparse.linalg import gmres
 
 from .errors import CapacityError, ParseError, PreconditionError, SolverError
 from .graphs import Graph, is_connected
-from .rules import RuleSet, evaluate
+from .rules import OPS, RuleSet, evaluate
 
 MAX_SOLVE_N = 16  # absorption probabilities and CSV tables
 MAX_SWEEP_N = 12  # all-rule-sets sweep
@@ -251,6 +251,9 @@ _SHIFT = 4 * np.arange(4)[:, None] + np.arange(4)
 
 def _reach(op_set) -> np.ndarray:
     """reach[c, c']: some draw pair from op_set moves edge code c to c' != c."""
+    bad = set(op_set).difference(OPS)
+    if bad:
+        raise ValueError(f"operator index out of range: {bad}")
     mask = sum(1 << k for k in op_set)
     return (int(_SIGNATURE[mask]) >> _SHIFT & 1).astype(bool)
 

@@ -58,9 +58,9 @@ def _write_out(text: str, out: str | None) -> None:
 
 def _cmd_classes(args, g: graphs.Graph) -> int:
     ruleset = rules.RuleSet(rules.parse_rules(args.rules))
-    shape = graphs.classify_shape(g)
+    tag = graphs.classify_shape(g)
     analysis = chain.analyze(chain.ChainSpec(g, ruleset))
-    print(f"graph: n={g.n}, {len(g.edges)} edges, shape {shape.tag.value}")
+    print(f"graph: n={g.n}, {len(g.edges)} edges, shape {tag.value}")
     if ruleset.op_set == rules.AND_OR:
         predicted = andor.predict_chi(g)
         verdict = "MATCH" if predicted == analysis.class_count else "MISMATCH"
@@ -85,8 +85,7 @@ def _cmd_classes(args, g: graphs.Graph) -> int:
 
 def _cmd_absorbing(args, g: graphs.Graph) -> int:
     ruleset = rules.RuleSet(rules.parse_rules(args.rules))
-    verdict = absorbing_mod.is_absorbing_chain_oracle(g, ruleset.op_set)
-    _, reason = absorbing_mod.oracle_reason(g, ruleset.op_set)
+    verdict, reason = absorbing_mod.oracle_reason(g, ruleset.op_set)
     analysis = chain.analyze(chain.ChainSpec(g, ruleset))
     agrees = "agrees" if analysis.is_absorbing_chain == verdict else "DISAGREES"
     word = "ABSORBING" if verdict else "NOT ABSORBING"
@@ -115,7 +114,9 @@ def _cmd_absorb_prob(args, g: graphs.Graph) -> int:
     return 0
 
 
-def _cmd_simulate(args, g: graphs.Graph, seed: int) -> int:
+def _cmd_simulate(args, g: graphs.Graph) -> int:
+    if args.start is None and args.delta0 is None:
+        raise GossipError("simulate needs --start or --delta0")
     ruleset = _rule_set(args)
     spec = chain.ChainSpec(g, ruleset)
     start = chain.parse_state(args.start, g.n) if args.start is not None else None
@@ -123,7 +124,7 @@ def _cmd_simulate(args, g: graphs.Graph, seed: int) -> int:
         spec=spec,
         horizon=args.horizon,
         rounds=args.rounds,
-        seed=seed,
+        seed=args.seed,
         start=start,
         delta0=args.delta0,
         sample_every=args.sample_every,
@@ -185,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_rules=True, with_probs=True):
+    def add_common(p, handler, with_rules=True, with_probs=True, needs_rules=False):
+        p.set_defaults(handler=handler, needs_rules=needs_rules)
         p.add_argument(
             "--graph",
             required=True,
@@ -199,18 +201,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to this file instead of stdout")
 
     p = sub.add_parser("classes", help="predicted vs brute-force communication classes")
-    add_common(p, with_probs=False)
+    add_common(p, _cmd_classes, with_probs=False)
     p.set_defaults(rules="1,7")
 
     p = sub.add_parser("absorbing", help="closed-form vs brute-force absorbing verdict")
-    add_common(p, with_probs=False)
+    add_common(p, _cmd_absorbing, with_probs=False, needs_rules=True)
 
     p = sub.add_parser("absorb-prob", help="absorption distribution from a start state")
-    add_common(p)
+    add_common(p, _cmd_absorb_prob, needs_rules=True)
     p.add_argument("--start", help="start state bitstring, node 1 leftmost")
 
     p = sub.add_parser("simulate", help="Monte Carlo sample paths, CSV density output")
-    add_common(p)
+    add_common(p, _cmd_simulate, needs_rules=True)
     p.add_argument("--start", help="start state bitstring, node 1 leftmost")
     p.add_argument("--delta0", type=float, help="i.i.d. Bernoulli initial density")
     p.add_argument("--horizon", type=int, required=True, help="steps per round")
@@ -225,10 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write output to this file instead of stdout")
 
     p = sub.add_parser("sweep-rules", help="oracle vs brute force over all rule sets")
-    add_common(p, with_rules=False, with_probs=False)
+    add_common(p, _cmd_sweep_rules, with_rules=False, with_probs=False)
 
     p = sub.add_parser("export-dot", help="DOT diagram of the graph or its chain")
-    add_common(p, with_probs=False)
+    add_common(p, _cmd_export_dot, with_probs=False)
     return parser
 
 
@@ -238,36 +240,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "meanfield":
             return _cmd_meanfield(args)
-        needs_seed = args.command == "simulate" or args.graph.startswith(
-            "make:regular"
-        )
-        seed = args.seed
-        if needs_seed:
-            if seed is None:
-                seed = _fresh_seed()
-            print(f"seed: {seed}", file=sys.stderr)
-        g = _load_graph(args.graph, seed)
-        if args.command == "classes":
-            return _cmd_classes(args, g)
-        if args.command == "absorbing":
-            if not args.rules:
-                raise GossipError("absorbing needs --rules")
-            return _cmd_absorbing(args, g)
-        if args.command == "absorb-prob":
-            if not args.rules:
-                raise GossipError("absorb-prob needs --rules")
-            return _cmd_absorb_prob(args, g)
-        if args.command == "simulate":
-            if not args.rules:
-                raise GossipError("simulate needs --rules")
-            if args.start is None and args.delta0 is None:
-                raise GossipError("simulate needs --start or --delta0")
-            return _cmd_simulate(args, g, seed)
-        if args.command == "sweep-rules":
-            return _cmd_sweep_rules(args, g)
-        if args.command == "export-dot":
-            return _cmd_export_dot(args, g)
-        raise GossipError(f"unknown command {args.command!r}")
+        if args.command == "simulate" or args.graph.startswith("make:regular"):
+            if args.seed is None:
+                args.seed = _fresh_seed()
+            print(f"seed: {args.seed}", file=sys.stderr)
+        g = _load_graph(args.graph, args.seed)
+        if args.needs_rules and not args.rules:
+            raise GossipError(f"{args.command} needs --rules")
+        return args.handler(args, g)
     except (GossipError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

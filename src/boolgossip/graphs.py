@@ -97,13 +97,6 @@ class Graph:
         return components == 1, tuple(colors) if bipartite else None
 
 
-@dataclass(frozen=True)
-class GraphShape:
-    tag: ShapeTag
-    connected: bool
-    has_odd_cycle: bool
-
-
 def is_connected(g: Graph) -> bool:
     return g._bfs[0]
 
@@ -121,30 +114,26 @@ def has_odd_cycle(g: Graph) -> bool:
     return g._bfs[1] is None
 
 
-def classify_shape(g: Graph) -> GraphShape:
+def classify_shape(g: Graph) -> ShapeTag:
     """Classify a graph into the shape cases with distinct class-count formulas.
 
     Tags are mutually exclusive and exhaustive for connected graphs. A
-    disconnected graph is reported with connected=False and one of the two
-    general tags; operations that need connectivity reject it at the point
-    of use.
+    disconnected graph gets one of the two general tags; operations that
+    need connectivity reject it at the point of use.
     """
-    connected = is_connected(g)
-    odd = has_odd_cycle(g)
     degrees = [g.degree(i) for i in range(1, g.n + 1)]
-    if connected:
+    if is_connected(g):
         ones = degrees.count(1)
         twos = degrees.count(2)
         if ones == 2 and ones + twos == g.n:
-            return GraphShape(ShapeTag.LINE, True, odd)
+            return ShapeTag.LINE
         if twos == g.n:
-            return GraphShape(ShapeTag.CYCLE, True, odd)
+            return ShapeTag.CYCLE
         if len(g.edges) == g.n - 1:
             if max(degrees) == g.n - 1:
-                return GraphShape(ShapeTag.STAR, True, odd)
-            return GraphShape(ShapeTag.TREE, True, odd)
-    tag = ShapeTag.GENERAL_ODD if odd else ShapeTag.GENERAL_BIPARTITE
-    return GraphShape(tag, connected, odd)
+                return ShapeTag.STAR
+            return ShapeTag.TREE
+    return ShapeTag.GENERAL_ODD if has_odd_cycle(g) else ShapeTag.GENERAL_BIPARTITE
 
 
 def parse_edge_list(text: str) -> Graph:

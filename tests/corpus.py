@@ -41,7 +41,7 @@ def random_nonline_tree(n: int, rng: random.Random) -> graphs.Graph:
         raise ValueError(f"every tree on n={n} nodes is a path")
     while True:
         g = random_tree(n, rng)
-        if graphs.classify_shape(g).tag is not graphs.ShapeTag.LINE:
+        if graphs.classify_shape(g) is not graphs.ShapeTag.LINE:
             return g
 
 

@@ -388,6 +388,19 @@ def test_oracle_reason_branch_matches_oracle():
         assert len(reasons) == 6
 
 
+def test_oracle_reason_refuses_what_the_oracle_refuses():
+    # No verdict for a disconnected graph, an empty rule set, or an operator
+    # outside 0..15: none of them is a question the oracle answers.
+    split = graphs.Graph(4, ((1, 2), (3, 4)))
+    with pytest.raises(PreconditionError, match="connected"):
+        absorbing.oracle_reason(split, {1, 7})
+    g = graphs.make("cycle", 4)
+    with pytest.raises(ValueError, match="nonempty"):
+        absorbing.oracle_reason(g, set())
+    with pytest.raises(ValueError, match="out of range"):
+        absorbing.oracle_reason(g, {16})
+
+
 def _same_verdict(g1, g2, ops):
     ruleset = rules.RuleSet(tuple(sorted(ops)))
     a1 = chain.analyze(chain.ChainSpec(g1, ruleset))

@@ -66,7 +66,7 @@ def test_c1_random_bipartite():
         g = corpus.random_bipartite_nontree(rng.randrange(4, 11), rng)
         # A cycle graph is bipartite and non-tree but has its own count;
         # the chi=5 claim covers the remaining shapes.
-        if graphs.classify_shape(g).tag is graphs.ShapeTag.GENERAL_BIPARTITE:
+        if graphs.classify_shape(g) is graphs.ShapeTag.GENERAL_BIPARTITE:
             pool.append(g)
     _chi_group("bipartite", pool, [5] * 25)
 
@@ -76,7 +76,7 @@ def test_c1_random_odd_cycles():
     pool = []
     while len(pool) < 25:
         g = corpus.random_odd_cycle_graph(rng.randrange(4, 11), rng)
-        if graphs.classify_shape(g).tag is graphs.ShapeTag.GENERAL_ODD:
+        if graphs.classify_shape(g) is graphs.ShapeTag.GENERAL_ODD:
             pool.append(g)
     _chi_group("odd", pool, [3] * 25)
 

@@ -234,6 +234,8 @@ def test_export_dot_rejects_probs(capsys, command):
         ["classes", "--graph", "make:cycle"],
         ["classes", "--graph", "make:cycle:4", "--rules", "z"],
         ["absorbing", "--graph", "make:cycle:4"],
+        ["absorb-prob", "--graph", "make:cycle:4", "--start", "0101"],
+        ["simulate", "--graph", "make:cycle:4", "--delta0", "0.5", "--horizon", "5"],
         ["absorb-prob", "--graph", "make:cycle:4", "--rules", "1,7"],
         [
             "absorb-prob",

@@ -14,7 +14,7 @@ REMOVED = {
         "classify_state",
         "is_absorbing_state",
     ),
-    "graphs": ("serialize_edge_list",),
+    "graphs": ("GraphShape", "serialize_edge_list"),
     "rules": (
         "all_rule_sets",
         "is_inverter_family",
