@@ -18,9 +18,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from .errors import ConstructionError, ParseError
+from .errors import CapacityError, ConstructionError, ParseError
 
 _REGULAR_RESTARTS = 200
+GRAPH_BYTES = 2 << 30  # make: estimated peak of the graph build
+_ITEM_BYTES = 320  # build peak per edge and per node: at most 281 measured
 
 
 class ShapeTag(Enum):
@@ -189,7 +191,26 @@ def make(kind: str, n: int, seed: int | None = None, d: int | None = None) -> Gr
     complete: all pairs. regular needs d with n*d even and 0 <= d < n; it is
     sampled by the pairing model with seeded rewiring repair of self-loops
     and duplicates, so the result is reproducible from the seed.
+
+    The edge count follows from the arguments, so the build's peak memory is
+    estimated first, as (edges + nodes) * _ITEM_BYTES, and CapacityError is
+    raised before anything is built when it passes GRAPH_BYTES.
     """
+    m = {
+        "line": n - 1,
+        "cycle": n,
+        "star": n - 1,
+        "complete": n * (n - 1) // 2,
+        "regular": n * (d or 0) // 2,
+    }.get(kind)
+    if m is None:
+        raise ConstructionError(f"unknown graph kind {kind!r}")
+    need = (m + n) * _ITEM_BYTES
+    if need > GRAPH_BYTES:
+        raise CapacityError(
+            f"{kind} graph on {n} nodes has {m} edges: estimated peak "
+            f"{need / 2**30:.1f} GiB, over the budget of {GRAPH_BYTES / 2**30:g} GiB"
+        )
     if kind == "line":
         if n < 2:
             raise ConstructionError(f"line graph needs n >= 2, got {n}")
@@ -210,11 +231,9 @@ def make(kind: str, n: int, seed: int | None = None, d: int | None = None) -> Gr
         return Graph(
             n, tuple((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
         )
-    if kind == "regular":
-        if d is None:
-            raise ConstructionError("regular graph needs a degree d")
-        return _make_regular(n, d, seed)
-    raise ConstructionError(f"unknown graph kind {kind!r}")
+    if d is None:
+        raise ConstructionError("regular graph needs a degree d")
+    return _make_regular(n, d, seed)
 
 
 def _make_regular(n: int, d: int, seed: int | None) -> Graph:

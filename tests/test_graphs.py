@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+import time
+import tracemalloc
 
 import pytest
 
 import corpus
 from boolgossip import graphs
-from boolgossip.errors import ConstructionError, ParseError
+from boolgossip.errors import CapacityError, ConstructionError, ParseError
 
 
 def test_make_standard_shapes():
@@ -28,6 +30,70 @@ def test_make_validation():
         graphs.make("line", 1)
     with pytest.raises(ConstructionError):
         graphs.make("moebius", 5)
+
+
+def test_make_refuses_over_budget_before_building(monkeypatch):
+    # With the budget patched down, small graphs of every kind are refused,
+    # quickly and without allocating, so a missing check builds a few
+    # hundred edges rather than exhausting memory.
+    monkeypatch.setattr(graphs, "GRAPH_BYTES", 10_000)
+    for kind, d in (
+        ("line", None),
+        ("cycle", None),
+        ("star", None),
+        ("complete", None),
+        ("regular", 4),
+    ):
+        tracemalloc.start()
+        with pytest.raises(CapacityError, match="over the budget"):
+            graphs.make(kind, 100, seed=1, d=d)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 1 << 16
+
+
+def test_make_budget_is_checked_against_the_estimate(monkeypatch):
+    need = (45 + 10) * graphs._ITEM_BYTES  # complete(10): 45 edges, 10 nodes
+    monkeypatch.setattr(graphs, "GRAPH_BYTES", need)
+    assert len(graphs.make("complete", 10).edges) == 45
+    monkeypatch.setattr(graphs, "GRAPH_BYTES", need - 1)
+    with pytest.raises(CapacityError):
+        graphs.make("complete", 10)
+
+
+def test_make_budget_admits_and_refuses():
+    # complete(1000), the README's full-scale graph, still builds. The
+    # largest complete graph under the budget is complete(3663); one node
+    # more, and complete(100000) with its 5e9 pairs, are refused at once.
+    assert len(graphs.make("complete", 1000).edges) == 499500
+    for n in (3664, 100_000):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="over the budget of 2 GiB"):
+            graphs.make("complete", n)
+        assert time.perf_counter() - start < 0.1
+    with pytest.raises(CapacityError):
+        graphs.make("line", 10**8)
+
+
+def test_make_estimate_bounds_its_peak():
+    # The estimate is an upper bound on the build's traced peak, for every
+    # kind, sparse (a node term dominates) and dense (the edges do). The
+    # dense regular graphs, whose rewiring keeps a dict of all pairs, come
+    # nearest: about 280 bytes an item.
+    for kind, n, d in (
+        ("line", 5000, None),
+        ("cycle", 5000, None),
+        ("star", 5000, None),
+        ("complete", 300, None),
+        ("regular", 2000, 0),
+        ("regular", 2000, 10),
+        ("regular", 400, 100),
+    ):
+        tracemalloc.start()
+        g = graphs.make(kind, n, seed=1, d=d)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= (len(g.edges) + n) * graphs._ITEM_BYTES
 
 
 def test_make_regular():

@@ -7,7 +7,6 @@ families, the parity families, and the mask plumbing.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -124,12 +123,17 @@ def test_all_rule_sets_enumeration():
 
 
 def test_mask_round_trip():
-    rng = random.Random(42)
-    for _ in range(200):
-        mask = rng.randrange(1, 1 << 16)
-        assert sum(1 << k for k in rules.mask_ops(mask)) == mask
-    with pytest.raises(ValueError):
-        rules.mask_ops(1 << 16)
+    # Every mask, against a set built one operator at a time: equal, in the
+    # same iteration order, and packing back to its mask.
+    for mask in range(1 << 16):
+        ops = rules.mask_ops(mask)
+        want = frozenset(k for k in range(16) if mask >> k & 1)
+        assert ops == want
+        assert tuple(ops) == tuple(want)
+        assert sum(1 << k for k in ops) == mask
+    for bad in (-1, 1 << 16):
+        with pytest.raises(ValueError):
+            rules.mask_ops(bad)
 
 
 def test_rule_set_defaults():
