@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, absorption_probabilities
-from .errors import CapacityError, PreconditionError
+from .errors import PreconditionError, check_budget
 from .graphs import (
     Graph,
     ShapeTag,
@@ -30,8 +30,6 @@ from .graphs import (
     is_connected,
 )
 from .rules import AND_OR
-
-MAX_PARTITION_N = 16
 
 
 @dataclass(frozen=True)
@@ -127,16 +125,23 @@ def predict_classes(g: Graph) -> ClassPrediction:
     lower-labelled end, which is the (length, digits) order. Other shapes:
     the two constant states and, when the graph is bipartite, its two
     colorings as singletons; then on a cycle one class per even count of
-    unequal-endpoint edges, and elsewhere everything else.
+    unequal-endpoint edges, and elsewhere everything else. The estimated
+    peak is checked against the memory budget first.
     """
     if not is_connected(g):
         raise PreconditionError("class prediction needs a connected graph")
-    n = g.n
-    if n > MAX_PARTITION_N:
-        raise CapacityError(f"n={n} exceeds the partition cap of {MAX_PARTITION_N}")
+    n, m = g.n, len(g.edges)
     full = (1 << n) - 1
     tag = classify_shape(g)
-    if tag in (ShapeTag.LINE, ShapeTag.CYCLE):
+    counted = tag in (ShapeTag.LINE, ShapeTag.CYCLE)
+    # Peak bytes, at most, per state: on a line or cycle the two int64
+    # shifted copies of the states per edge that count the unequal edges;
+    # and the frozensets of the classes with the sort and index vectors
+    # that split them, about 100 B.
+    check_budget(
+        (1 << n) * (16 * m * counted + 144), f"class partition of n={n} with {m} edges"
+    )
+    if counted:
         states = np.arange(full + 1)[:, None]
         i, j = np.array(g.edges).T - 1
         unequal = ((states >> i ^ states >> j) & 1).sum(axis=1)

@@ -37,18 +37,22 @@ from scipy import sparse
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import gmres
 
-from .errors import CapacityError, ParseError, PreconditionError, SolverError
+from .errors import (
+    CapacityError,
+    ParseError,
+    PreconditionError,
+    SolverError,
+    check_budget,
+)
 from .graphs import Graph, is_connected
 from .rules import OPS, RuleSet, evaluate
 
 MAX_SOLVE_N = 16  # absorption probabilities and CSV tables
-MAX_SWEEP_N = 12  # all-rule-sets sweep
 MAX_DOT_N = 8  # chain diagrams
 
 WEIGHT_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 _EXACT_DENOM = 10**6
-ANALYZE_BYTES = 2 << 30  # analyze: estimated peak of its support and class pass
 _CLOSED_BLOCK = 1 << 12  # rows a block of analyze's closed-class pass
 
 
@@ -306,8 +310,8 @@ def _support(g: Graph, reach: np.ndarray):
     in ascending order, s ^ mask for each move of _moves that s allows and
     s itself for each one it blocks. A self-loop changes no strong
     component, so the rows serve csgraph as CSR rows of width cols. The
-    absorbing mask flags states with no move. Raises CapacityError, before
-    any large allocation, when the estimated peak exceeds ANALYZE_BYTES.
+    absorbing mask flags states with no move. Checks the estimated peak
+    against the memory budget before any large allocation.
     """
     n, size = g.n, 1 << g.n
     cols = n + len(g.edges) * _has_double_flips(reach)
@@ -316,11 +320,7 @@ def _support(g: Graph, reach: np.ndarray):
     # move build, the strong components and the closed-class pass; per cell
     # of a closed-class block, an int32 label and a flag.
     need = size * (6 * cols + 64) + min(size, _CLOSED_BLOCK) * 5 * cols
-    if need > ANALYZE_BYTES:
-        raise CapacityError(
-            f"analysis of n={n} with {cols} moves a state needs about "
-            f"{need / 2**30:.1f} GiB, over the budget of {ANALYZE_BYTES / 2**30:g} GiB"
-        )
+    check_budget(need, f"analysis of n={n} with {cols} moves a state")
     ok, masks = _moves(g, reach[..., None])
     ok = ok[..., 0]
     absorbing = ~ok.any(axis=1)
@@ -499,16 +499,25 @@ def sweep_absorbing_verdicts(g: Graph) -> np.ndarray:
     decided together by one backward reachability fixpoint over a
     (state, table) boolean matrix, and the verdicts are fanned out to the
     masks. No strong components are computed here; analyze does that.
+    The estimated peak is checked against the memory budget first.
     """
     if not is_connected(g):
         raise PreconditionError("interaction graph must be connected")
-    if g.n > MAX_SWEEP_N:
-        raise CapacityError(f"n={g.n} exceeds the sweep cap of {MAX_SWEEP_N}")
+    n, m = g.n, len(g.edges)
+    # Peak bytes, at most: the move flags of _moves, one per state, move
+    # (n + m of them, as some tables flip both ends of an edge) and each of
+    # the 72 distinct reach tables; per state, the reached matrix, its
+    # gathered copy and the move build's vectors; per mask, the np.unique
+    # pass that finds the tables.
+    check_budget(
+        (1 << n) * (72 * (n + m) + 320) + (1 << 16) * 32,
+        f"sweep of n={n} with {m} edges",
+    )
     tables, inverse = np.unique(_SIGNATURE[1:], return_inverse=True)
     # reach[c, c', t]: table t moves an edge in code c to c'.
     reach = (tables >> _SHIFT[..., None] & 1).astype(bool)
     ok, masks = _moves(g, reach)
-    states = np.arange(1 << g.n, dtype=np.int32)
+    states = np.arange(1 << n, dtype=np.int32)
     # reached[s, t]: state s reaches an absorbing state under table t. It
     # starts at the absorbing states and only grows, so the in-place passes
     # stop, and a table with no absorbing state reaches nothing.

@@ -12,17 +12,17 @@ whether an odd cycle is present (equivalently, whether 2-coloring fails).
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from .errors import CapacityError, ConstructionError, ParseError
+from .errors import ConstructionError, ParseError, check_budget
 
 _REGULAR_RESTARTS = 200
-GRAPH_BYTES = 2 << 30  # make: estimated peak of the graph build
-_ITEM_BYTES = 320  # build peak per edge and per node: at most 281 measured
+_ITEM_BYTES = 320  # peak per edge and node of a build: at most 281 measured
 
 
 class ShapeTag(Enum):
@@ -36,7 +36,11 @@ class ShapeTag(Enum):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on nodes 1..n with at least two nodes."""
+    """Simple undirected graph on nodes 1..n with at least two nodes.
+
+    The build's estimated peak, (edges + nodes) * _ITEM_BYTES, is checked
+    against the memory budget before the adjacency is made.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -45,6 +49,9 @@ class Graph:
     def __post_init__(self):
         if self.n < 2:
             raise ConstructionError(f"graph needs at least 2 nodes, got n={self.n}")
+        m = len(self.edges)
+        need = (m + self.n) * _ITEM_BYTES
+        check_budget(need, f"graph on {self.n} nodes with {m} edges")
         seen = set()
         normalized = []
         for edge in self.edges:
@@ -143,8 +150,12 @@ def parse_edge_list(text: str) -> Graph:
 
     Blank lines and '#' comment lines are ignored. n is the maximum node
     label unless an "n=<k>" header line is present. Errors name the
-    offending line number.
+    offending line number. Each line is counted against the memory budget,
+    at the rate of an edge of the build, before any is parsed; parse and
+    build together peak at up to 287 bytes an edge and node.
     """
+    lines = text.count("\n") + 1
+    check_budget(lines * _ITEM_BYTES, f"edge list of {lines} lines")
     edges = []
     seen = set()
     n_header = None
@@ -190,11 +201,13 @@ def make(kind: str, n: int, seed: int | None = None, d: int | None = None) -> Gr
     line: edges {i,i+1}; cycle: additionally {n,1}; star: center node 1;
     complete: all pairs. regular needs d with n*d even and 0 <= d < n; it is
     sampled by the pairing model with seeded rewiring repair of self-loops
-    and duplicates, so the result is reproducible from the seed.
+    and duplicates, so the result is reproducible from the seed. When
+    2d > n it is the complement of the (n - 1 - d)-regular graph of the
+    same seed.
 
     The edge count follows from the arguments, so the build's peak memory is
-    estimated first, as (edges + nodes) * _ITEM_BYTES, and CapacityError is
-    raised before anything is built when it passes GRAPH_BYTES.
+    estimated first, as (edges + nodes) * _ITEM_BYTES, and checked against
+    the memory budget before anything is built.
     """
     m = {
         "line": n - 1,
@@ -205,12 +218,7 @@ def make(kind: str, n: int, seed: int | None = None, d: int | None = None) -> Gr
     }.get(kind)
     if m is None:
         raise ConstructionError(f"unknown graph kind {kind!r}")
-    need = (m + n) * _ITEM_BYTES
-    if need > GRAPH_BYTES:
-        raise CapacityError(
-            f"{kind} graph on {n} nodes has {m} edges: estimated peak "
-            f"{need / 2**30:.1f} GiB, over the budget of {GRAPH_BYTES / 2**30:g} GiB"
-        )
+    check_budget((m + n) * _ITEM_BYTES, f"{kind} graph on {n} nodes has {m} edges")
     if kind == "line":
         if n < 2:
             raise ConstructionError(f"line graph needs n >= 2, got {n}")
@@ -239,6 +247,13 @@ def make(kind: str, n: int, seed: int | None = None, d: int | None = None) -> Gr
 def _make_regular(n: int, d: int, seed: int | None) -> Graph:
     if n < 2 or d < 0 or d >= n or (n * d) % 2 != 0:
         raise ConstructionError(f"no simple {d}-regular graph on {n} nodes")
+    if 2 * d > n:
+        # The pairing repair below stalls on dense pairings, so a dense graph
+        # is the complement of a sparse (n - 1 - d)-regular one, whose n * d
+        # has the same parity, drawn from the same seed.
+        sparse = set(_make_regular(n, n - 1 - d, seed).edges)
+        pairs = itertools.combinations(range(1, n + 1), 2)
+        return Graph(n, tuple(pair for pair in pairs if pair not in sparse))
     if d == 0:
         return Graph(n, ())
     rng = random.Random(seed)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, PreconditionError
 
 KIND_CLOSED = "meanfield_closed"
 KIND_RECURSION = "meanfield_recursion"
@@ -87,12 +87,19 @@ def closed_form_trajectory(
 def recursion(params: MeanFieldParams, horizon: int) -> DensityTrajectory:
     """Iterate the one-step density recursion for `horizon` steps.
 
-    The drift keeps exact fixed points at 0 and 1; floating error may leave
-    [0, 1] by less than 1e-12 and is clamped, anything larger would be a bug
-    and raises.
+    The drift keeps exact fixed points at 0 and 1, and a step of size
+    |2 (2p - 1) / n| <= 1 keeps the density in [0, 1]; a larger one, which
+    only n = 1 allows, is refused with PreconditionError. Floating error may
+    leave [0, 1] by less than 1e-12 and is clamped, anything larger would be
+    a bug and raises.
     """
-    steps = _sample_grid(horizon, 1)
     coef = 2.0 * (2.0 * params.p_star - 1.0) / params.n
+    if abs(coef) > 1.0:
+        raise PreconditionError(
+            f"recursion step 2(2p - 1)/n = {coef:g} can leave [0, 1]: "
+            "it must lie in [-1, 1]"
+        )
+    steps = _sample_grid(horizon, 1)
     values = np.empty(horizon + 1)
     d = params.delta0
     values[0] = d

@@ -43,7 +43,7 @@ import numpy as np
 
 from .absorbing import absorbing_rows
 from .chain import _PAIR_STEP, ChainSpec
-from .errors import PreconditionError
+from .errors import PreconditionError, check_budget
 from .meanfield import KIND_EMPIRICAL, DensityTrajectory, _sample_grid
 from .philox import _SHIFT11, block, uniforms
 
@@ -72,7 +72,9 @@ class SimConfig:
 
     Exactly one of `start` (a state word) and `delta0` (i.i.d. Bernoulli
     initial density) must be given. Densities are recorded every
-    `sample_every` steps (default: n) plus the horizon itself.
+    `sample_every` steps (default: n) plus the horizon itself. The run's
+    estimated peak is checked against the memory budget before anything is
+    drawn.
     """
 
     spec: ChainSpec
@@ -97,6 +99,15 @@ class SimConfig:
             raise PreconditionError(f"rounds must be >= 1, got {self.rounds}")
         if self.sample_every is not None and self.sample_every < 1:
             raise PreconditionError("sample_every must be positive")
+        m = len(self.spec.graph.edges)
+        # Peak bytes, at most: per round, its n state bytes twice (a
+        # retirement copies the alive rows) and its draws, at most 96 B
+        # (ids, Philox words, uniforms) when the initial states are drawn;
+        # per edge, the edge and pick tables; one block of step draws.
+        check_budget(
+            self.rounds * (2 * n + 96) + (m + _DRAW_COUNTERS) * 64,
+            f"simulation of {self.rounds} rounds on n={n}",
+        )
 
 
 @dataclass

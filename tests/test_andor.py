@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import corpus
-from boolgossip import andor, chain, graphs, rules
+from boolgossip import andor, chain, errors, graphs, rules
 from boolgossip.andor import ReducedState
 from boolgossip.errors import CapacityError, PreconditionError
 
@@ -187,8 +189,56 @@ def test_predict_classes_line2_singletons():
 
 
 def test_predict_classes_cap():
+    # The largest partitions under the 2 GiB budget are line(22), cycle(22)
+    # and complete(23); one node more is refused at once.
+    for kind, n in (("line", 23), ("cycle", 23), ("complete", 24)):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="over the budget of 2 GiB"):
+            andor.predict_classes(graphs.make(kind, n))
+        assert time.perf_counter() - start < 0.1
+
+
+def test_predict_classes_refuses_before_allocating(monkeypatch):
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 1 << 20)
+    for kind in ("line", "cycle", "star", "complete"):
+        g = graphs.make(kind, 14)
+        tracemalloc.start()
+        with pytest.raises(CapacityError, match="over the budget"):
+            andor.predict_classes(g)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 1 << 16
+
+
+def test_predict_classes_budget_is_checked_against_the_estimate(monkeypatch):
+    # line(10): 2^10 states, 16 B for each of its 9 edges and 144 B each.
+    need = (1 << 10) * (16 * 9 + 144)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", need)
+    assert andor.predict_classes(graphs.make("line", 10)).chi == 20
+    monkeypatch.setattr(errors, "BUDGET_BYTES", need - 1)
     with pytest.raises(CapacityError):
-        andor.predict_classes(graphs.make("line", andor.MAX_PARTITION_N + 1))
+        andor.predict_classes(graphs.make("line", 10))
+
+
+def test_predict_classes_estimate_bounds_its_peak():
+    # With the budget set to the traced peak of a partition, the same graph
+    # is refused: the estimate is an upper bound on every shape.
+    for kind, n in (
+        ("line", 10),
+        ("line", 15),
+        ("cycle", 14),
+        ("star", 14),
+        ("complete", 15),
+    ):
+        g = graphs.make(kind, n)
+        tracemalloc.start()
+        andor.predict_classes(g)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(errors, "BUDGET_BYTES", peak)
+            with pytest.raises(CapacityError, match="budget"):
+                andor.predict_classes(g)
 
 
 def test_consensus_probability_preconditions():

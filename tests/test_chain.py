@@ -14,7 +14,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 import corpus
-from boolgossip import absorbing, andor, chain, graphs, rules
+from boolgossip import absorbing, andor, chain, errors, graphs, rules
 from boolgossip.errors import CapacityError, ParseError, PreconditionError, SolverError
 
 
@@ -406,7 +406,7 @@ def test_analyze_estimate_bounds_its_peak():
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(chain, "ANALYZE_BYTES", peak)
+            patch.setattr(errors, "BUDGET_BYTES", peak)
             with pytest.raises(CapacityError, match="budget"):
                 chain.analyze(spec)
 
@@ -544,9 +544,60 @@ def test_sweep_matches_analyze_sample():
         ops = tuple(sorted(rules.mask_ops(mask)))
         brute = chain.analyze(chain.ChainSpec(g, rules.RuleSet(ops)))
         assert bool(verdicts[mask]) == brute.is_absorbing_chain
-    big = graphs.make("line", chain.MAX_SWEEP_N + 1)
+    big = graphs.make("complete", 18)
     with pytest.raises(CapacityError):
         chain.sweep_absorbing_verdicts(big)
+
+
+def test_sweep_refuses_before_allocating(monkeypatch):
+    # Past the budget the estimate refuses at once: complete(18) and
+    # line(20) at 2 GiB, and with the budget patched down, small graphs
+    # whose move tables would take a few hundred kB.
+    for g in (graphs.make("complete", 18), graphs.make("line", 20)):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="over the budget of 2 GiB"):
+            chain.sweep_absorbing_verdicts(g)
+        assert time.perf_counter() - start < 0.1
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 1 << 20)
+    for g in (graphs.make("complete", 8), graphs.make("line", 10)):
+        tracemalloc.start()
+        with pytest.raises(CapacityError, match="over the budget"):
+            chain.sweep_absorbing_verdicts(g)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 1 << 16
+
+
+def test_sweep_budget_admits_without_allocating(monkeypatch):
+    # complete(17) and line(19) fit the budget (1.4 GiB estimated): each
+    # reaches the move build, which raises a marker here.
+    def admitted(*args):
+        raise _Admitted
+
+    monkeypatch.setattr(chain, "_moves", admitted)
+    for g in (graphs.make("complete", 17), graphs.make("line", 19)):
+        with pytest.raises(_Admitted):
+            chain.sweep_absorbing_verdicts(g)
+
+
+def test_sweep_estimate_bounds_its_peak():
+    # With the budget set to the traced peak of a sweep, the same graph is
+    # refused: the estimate is an upper bound, dense and sparse.
+    for g in (
+        graphs.make("line", 8),
+        graphs.make("complete", 10),
+        graphs.make("star", 12),
+        graphs.make("cycle", 13),
+        graphs.make("complete", 13),
+    ):
+        tracemalloc.start()
+        chain.sweep_absorbing_verdicts(g)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(errors, "BUDGET_BYTES", peak)
+            with pytest.raises(CapacityError, match="budget"):
+                chain.sweep_absorbing_verdicts(g)
 
 
 @pytest.fixture(scope="module")
@@ -588,8 +639,9 @@ def test_sweep_matches_analyze_per_table(g, table_masks):
 
 
 @pytest.mark.parametrize("family", ["line", "complete"])
-def test_sweep_matches_oracle_at_cap(family):
-    g = graphs.make(family, chain.MAX_SWEEP_N)
+def test_sweep_matches_oracle_on_every_mask(family):
+    # n = 14: 2^14 states under each of the 72 reach tables, about 1 s.
+    g = graphs.make(family, 14)
     verdicts = chain.sweep_absorbing_verdicts(g)
     mismatches = [
         mask

@@ -181,6 +181,32 @@ def test_meanfield_csv(capsys):
     assert lines[1].startswith("0,0.5,")
 
 
+def test_meanfield_refuses_a_step_past_one(capsys):
+    argv = ["meanfield", "--n", "1", "--p-star", "1", "--delta0", "0.75"]
+    rc = cli.main(argv + ["--horizon", "3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: recursion step")
+    assert captured.err.count("\n") == 1
+
+
+def test_budget_refusals_exit_2(capsys, tmp_path):
+    # Each refusal comes from the byte estimate, before any large array.
+    edges = tmp_path / "huge.txt"
+    edges.write_text("n=1000000000\n1 2\n")
+    for argv in (
+        ["classes", "--graph", str(edges)],
+        ["sweep-rules", "--graph", "make:complete:18"],
+        ["simulate", "--graph", "make:cycle:4", "--rules", "1,7", "--seed", "1"]
+        + ["--delta0", "0.5", "--horizon", "5", "--rounds", "1000000000000"],
+    ):
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "over the budget of 2 GiB" in err
+
+
 def test_sweep_rules_two_nodes(capsys):
     rc = cli.main(["sweep-rules", "--graph", "make:line:2"])
     captured = capsys.readouterr()

@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 import corpus
-from boolgossip import graphs
+from boolgossip import errors, graphs
 from boolgossip.errors import CapacityError, ConstructionError, ParseError
 
 
@@ -36,7 +36,7 @@ def test_make_refuses_over_budget_before_building(monkeypatch):
     # With the budget patched down, small graphs of every kind are refused,
     # quickly and without allocating, so a missing check builds a few
     # hundred edges rather than exhausting memory.
-    monkeypatch.setattr(graphs, "GRAPH_BYTES", 10_000)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 10_000)
     for kind, d in (
         ("line", None),
         ("cycle", None),
@@ -54,9 +54,9 @@ def test_make_refuses_over_budget_before_building(monkeypatch):
 
 def test_make_budget_is_checked_against_the_estimate(monkeypatch):
     need = (45 + 10) * graphs._ITEM_BYTES  # complete(10): 45 edges, 10 nodes
-    monkeypatch.setattr(graphs, "GRAPH_BYTES", need)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", need)
     assert len(graphs.make("complete", 10).edges) == 45
-    monkeypatch.setattr(graphs, "GRAPH_BYTES", need - 1)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", need - 1)
     with pytest.raises(CapacityError):
         graphs.make("complete", 10)
 
@@ -109,6 +109,76 @@ def test_make_regular():
         graphs.make("regular", 4, seed=1, d=4)  # d >= n
     with pytest.raises(ConstructionError):
         graphs.make("regular", 4, seed=1)  # missing d
+
+
+@pytest.mark.parametrize("n, d", [(7, 4), (10, 9), (60, 50), (100, 90)])
+def test_make_regular_dense(n, d):
+    # 2d > n: the complement of the (n - 1 - d)-regular graph of the same
+    # seed, which the pairing repair alone does not reach in reasonable time.
+    start = time.perf_counter()
+    g = graphs.make("regular", n, seed=5, d=d)
+    assert time.perf_counter() - start < 1.0
+    assert all(g.degree(i) == d for i in range(1, n + 1))
+    assert graphs.is_connected(g)
+    assert g.edges == tuple(sorted(g.edges))
+    assert g.edges == graphs.make("regular", n, seed=5, d=d).edges
+    sparse = set(graphs.make("regular", n, seed=5, d=n - 1 - d).edges)
+    assert sparse.isdisjoint(g.edges)
+    assert len(sparse) + len(g.edges) == n * (n - 1) // 2
+
+
+def test_graph_and_edge_list_refuse_before_building(monkeypatch):
+    # A node count from an n= header or a label is checked before the
+    # adjacency is made: 10^8 nodes would take about 7 GB.
+    for build in (
+        lambda: graphs.Graph(10**8, ((1, 2),)),
+        lambda: graphs.parse_edge_list("n=100000000\n1 2"),
+        lambda: graphs.parse_edge_list("1 2\n2 100000000"),
+    ):
+        tracemalloc.start()
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="over the budget of 2 GiB"):
+            build()
+        assert time.perf_counter() - start < 0.1
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 1 << 16
+    # An edge list's lines are counted before any is parsed: the bad last
+    # line is never reached.
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 10_000)
+    text = "".join(f"{i} {i + 1}\n" for i in range(1, 100)) + "x y\n"
+    with pytest.raises(CapacityError, match="edge list of 101 lines"):
+        graphs.parse_edge_list(text)
+
+
+def test_parse_estimate_bounds_its_peak():
+    # The traced peak of a parse, its own tables and the graph build
+    # together, stays under the estimate that Graph checks, as does the
+    # build alone. The parse comes nearest: 195-260 bytes an edge and node
+    # here, 287 on the edges of complete(1000).
+    for g in (
+        graphs.make("line", 3000),
+        graphs.make("cycle", 3000),
+        graphs.make("star", 3000),
+        graphs.make("complete", 80),
+        graphs.make("regular", 500, seed=1, d=6),
+    ):
+        text = "".join(f"{i} {j}\n" for i, j in g.edges)
+        need = (len(g.edges) + g.n) * graphs._ITEM_BYTES
+        for build in (
+            lambda: graphs.parse_edge_list(text),
+            lambda: graphs.Graph(g.n, g.edges),
+        ):
+            tracemalloc.start()
+            build()
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert peak <= need
+    tracemalloc.start()
+    graphs.parse_edge_list("n=20000\n1 2")
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak <= (1 + 20000) * graphs._ITEM_BYTES
 
 
 def test_graph_invariants():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from boolgossip import chain, graphs, meanfield, rules, simulate
-from boolgossip.errors import CapacityError
+from boolgossip.errors import CapacityError, PreconditionError
 from boolgossip.meanfield import DensityTrajectory, MeanFieldParams
 
 
@@ -78,6 +78,18 @@ def test_recursion_tracks_closed_form():
         exact = meanfield.closed_form(params, np.array(traj.steps))
         gap = float(np.max(np.abs(np.array(traj.density) - exact)))
         assert gap <= 5.0 / n
+
+
+def test_recursion_refuses_a_step_past_one():
+    # The step 2(2p - 1)/n passes 1 in size only for n = 1, and then one
+    # step can leave [0, 1] (from 0.75 at p = 1: 0.75 + 2 * 0.1875 = 1.125).
+    for p_star in (1.0, 0.0, 0.8, 0.2):
+        with pytest.raises(PreconditionError, match="must lie in"):
+            meanfield.recursion(MeanFieldParams(1, p_star, 0.75), 3)
+    for p_star in (0.75, 0.25, 0.5):
+        traj = meanfield.recursion(MeanFieldParams(1, p_star, 0.75), 20)
+        assert all(0.0 <= d <= 1.0 for d in traj.density)
+    assert meanfield.recursion(MeanFieldParams(2, 1.0, 0.75), 3).density[1] == 0.9375
 
 
 def test_recursion_rejects_negative_horizon():

@@ -5,14 +5,15 @@ from __future__ import annotations
 import collections
 import logging
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from boolgossip import chain, graphs, philox, rules, simulate
-from boolgossip.errors import PreconditionError
+from boolgossip import chain, errors, graphs, philox, rules, simulate
+from boolgossip.errors import CapacityError, PreconditionError
 
 
 def _spec(g=None, ops=(1, 7), probs=()):
@@ -37,6 +38,61 @@ def test_config_validation():
         simulate.SimConfig(spec, 10, 0, 1, start=3)
     with pytest.raises(PreconditionError):
         simulate.SimConfig(spec, 10, 5, 1, start=3, sample_every=0)
+
+
+def test_config_refuses_rounds_over_budget():
+    # 10^12 rounds of one state byte each could never be allocated, so the
+    # refusal shows that the estimate is checked before anything is drawn.
+    spec = _spec()
+    for start in (dict(delta0=0.5), dict(start=5)):
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        with pytest.raises(CapacityError, match="over the budget of 2 GiB"):
+            simulate.SimConfig(spec, 10, 10**12, 1, **start)
+        assert time.perf_counter() - t0 < 0.1
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 1 << 16
+
+
+def test_config_budget_is_checked_against_the_estimate(monkeypatch):
+    # cycle(4), 1000 rounds: 2 * 4 + 96 B a round, 64 B for each of its 4
+    # edges and of the counters of one block of step draws.
+    need = 1000 * (2 * 4 + 96) + (4 + simulate._DRAW_COUNTERS) * 64
+    monkeypatch.setattr(errors, "BUDGET_BYTES", need)
+    simulate.SimConfig(_spec(), 10, 1000, 1, delta0=0.5)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", need - 1)
+    with pytest.raises(CapacityError, match="simulation of 1000 rounds on n=4"):
+        simulate.SimConfig(_spec(), 10, 1000, 1, delta0=0.5)
+
+
+def test_run_estimate_bounds_its_peak():
+    # With the budget set to the traced peak of a run, its config is
+    # refused. The cases draw initial states for many rounds, retire nearly
+    # all rounds at one sample point (the rows copied), start from a fixed
+    # state, and gather from a large edge table.
+    cases = [
+        (graphs.make("cycle", 4), (1, 7), 200_000, 40, dict(delta0=0.5)),
+        (
+            graphs.make("complete", 24),
+            (1,),
+            30_000,
+            300,
+            dict(delta0=0.5, sample_every=300),
+        ),
+        (graphs.make("cycle", 10), (1, 7), 100_000, 50, dict(start=0b1010101010)),
+        (graphs.make("complete", 300), (1, 7), 2000, 300, dict(delta0=0.5)),
+    ]
+    for g, ops, rounds, horizon, kw in cases:
+        spec = _spec(g, ops)
+        tracemalloc.start()
+        simulate.run(simulate.SimConfig(spec, horizon, rounds, 1, **kw))
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(errors, "BUDGET_BYTES", peak)
+            with pytest.raises(CapacityError, match="budget"):
+                simulate.SimConfig(spec, horizon, rounds, 1, **kw)
 
 
 def test_deterministic_replay():
