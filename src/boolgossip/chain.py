@@ -45,12 +45,11 @@ from .errors import (
     check_budget,
 )
 from .graphs import Graph, is_connected
-from .rules import OPS, RuleSet, evaluate
+from .rules import OPS, PROB_TOL, RuleSet, evaluate
 
 MAX_SOLVE_N = 16  # absorption probabilities and CSV tables
 MAX_DOT_N = 8  # chain diagrams
 
-WEIGHT_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 _EXACT_DENOM = 10**6
 _CLOSED_BLOCK = 1 << 12  # rows a block of analyze's closed-class pass
@@ -98,7 +97,7 @@ class ChainSpec:
         if any(w <= 0 for w in weights):
             raise ValueError(f"edge weights must be positive: {weights}")
         object.__setattr__(self, "edge_weights", weights)
-        if not math.isclose(math.fsum(self._float_weights), 1.0, abs_tol=WEIGHT_TOL):
+        if not math.isclose(math.fsum(self._float_weights), 1.0, abs_tol=PROB_TOL):
             raise ValueError(f"edge weights must sum to 1: {weights}")
 
     # Not dataclass fields: they stay out of ==, hash and repr.
@@ -111,49 +110,36 @@ class ChainSpec:
         return floats
 
     @cached_property
-    def _steps(self) -> tuple[int | None, tuple]:
+    def _steps(self) -> tuple[int, tuple]:
         """(D, per_edge), the one-step outcomes that transition_row sums.
 
-        per_edge[e] = (i - 1, j - 1, outcomes) for edge e = (i, j), where
-        outcomes[c] lists (flip mask, weight) pairs for the draw pairs that
-        move edge code c. When the weights and probabilities lift to exact
-        fractions, D is their common denominator and each weight an int
-        numerator over D, one per distinct flip. Otherwise D is None and
-        the weights are the float products w * p_k * p_l, one per draw pair
-        (k, l) in order, so that float sums keep the (edge, k, l) order.
+        D is the common denominator of the exact edge weights and rule
+        probabilities (see _exact_value). per_edge[e] = (i - 1, j - 1,
+        outcomes) for edge e = (i, j), where outcomes[c] lists, for each
+        distinct flip mask that a draw pair (k, l) applies to edge code c,
+        the int numerator over D of w * p_k * p_l summed over those pairs.
         """
         ops = self.rules.ops
-        weights = _lift_exact(self.edge_weights)
-        probs = _lift_exact(self.rules.probs)
-        if weights is None or probs is None:
-            denom = None
-            weights = self._float_weights.tolist()
-            probs = tuple(map(float, self.rules.probs))
-        else:
-            dw = math.lcm(*(w.denominator for w in weights))
-            dp = math.lcm(*(p.denominator for p in probs))
-            denom = dw * dp * dp
-            weights = tuple(w.numerator * (dw // w.denominator) for w in weights)
-            probs = tuple(p.numerator * (dp // p.denominator) for p in probs)
+        weights = tuple(map(_exact_value, self.edge_weights))
+        probs = tuple(map(_exact_value, self.rules.probs))
+        dw = math.lcm(*(w.denominator for w in weights))
+        dp = math.lcm(*(p.denominator for p in probs))
+        weights = tuple(w.numerator * (dw // w.denominator) for w in weights)
+        probs = tuple(p.numerator * (dp // p.denominator) for p in probs)
         per_edge = []
         for w, (i, j) in zip(weights, self.graph.edges):
             outcomes = []
             for c in range(4):
-                pairs = []
+                merged: dict[int, int] = {}
                 for k, pk in zip(ops, probs):
                     wk = w * pk
                     for l, pl in zip(ops, probs):
                         flip = c ^ int(_PAIR_STEP[k, l, c])
                         mask = (flip & 1) << (i - 1) | (flip >> 1) << (j - 1)
-                        pairs.append((mask, wk * pl))
-                if denom is not None:
-                    merged: dict[int, int] = {}
-                    for mask, num in pairs:
-                        merged[mask] = merged.get(mask, 0) + num
-                    pairs = merged.items()
-                outcomes.append(tuple(pairs))
+                        merged[mask] = merged.get(mask, 0) + wk * pl
+                outcomes.append(tuple(merged.items()))
             per_edge.append((i - 1, j - 1, tuple(outcomes)))
-        return denom, tuple(per_edge)
+        return dw * dp * dp, tuple(per_edge)
 
 
 @dataclass(frozen=True)
@@ -373,48 +359,34 @@ def analyze(spec: ChainSpec) -> ChainAnalysis:
     )
 
 
-def _lift_exact(values):
-    """Map floats to Fractions when every value round-trips with denominator
-    <= 1e6 and the lifted values sum to exactly 1; otherwise return None."""
-    fracs = []
-    for v in values:
-        if isinstance(v, Fraction):
-            fracs.append(v)
-            continue
-        if isinstance(v, int):
-            fracs.append(Fraction(v))
-            continue
-        f = Fraction(v).limit_denominator(_EXACT_DENOM)
-        if float(f) != v:
-            return None
-        fracs.append(f)
-    if sum(fracs) != 1:
-        return None
-    return tuple(fracs)
+def _exact_value(v) -> Fraction:
+    """v as a Fraction. An int or a Fraction is kept as given; any other
+    value (a float) is lifted to its fraction of denominator <= 1e6 when
+    that rounds back to it, and is otherwise taken at its exact value."""
+    if isinstance(v, (int, Fraction)):
+        return Fraction(v)
+    f = Fraction(v).limit_denominator(_EXACT_DENOM)
+    return f if float(f) == v else Fraction(v)
 
 
 def transition_row(spec: ChainSpec, s: int) -> TransitionRow:
     """Merged one-step distribution out of state s.
 
-    When all rule probabilities and edge weights lift to small fractions
-    summing to 1, each target's probability is an int numerator over one
-    common denominator, summed exactly and rounded to float once (the
-    float of the exact rational). Otherwise plain floats are summed in
-    (edge, k, l) draw order. Targets are sorted by state word.
+    Each target's probability is an int numerator over the common
+    denominator of the exact weights and probabilities, summed exactly and
+    rounded to float once: the float nearest the exact rational. Targets
+    are sorted by state word.
     """
     n = spec.graph.n
     if not 0 <= s < 1 << n:
         raise ValueError(f"state {s} out of range for n={n}")
     denom, per_edge = spec._steps
-    acc: dict[int, object] = {}
+    acc: dict[int, int] = {}
     for si, sj, outcomes in per_edge:
         for flip, p in outcomes[(s >> si & 1) | (s >> sj & 1) << 1]:
             t = s ^ flip
             acc[t] = acc.get(t, 0) + p
-    if denom is None:
-        targets = tuple(sorted(acc.items()))
-    else:
-        targets = tuple((t, p / denom) for t, p in sorted(acc.items()))
+    targets = tuple((t, p / denom) for t, p in sorted(acc.items()))
     return TransitionRow(source=s, targets=targets)
 
 

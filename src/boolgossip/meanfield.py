@@ -66,10 +66,18 @@ class DensityTrajectory:
 
 
 def closed_form(params: MeanFieldParams, t):
-    """Logistic closed-form density at step t (scalar or array)."""
+    """Logistic closed-form density at step t (scalar or array).
+
+    The fixed points delta0 = 0 and 1 stay put. From any other delta0, an
+    exponential that overflows gives the limit 0 with no warning.
+    """
     d0 = params.delta0
-    expo = np.exp(2.0 * (1.0 - 2.0 * params.p_star) * np.asarray(t, float) / params.n)
-    value = d0 / ((1.0 - d0) * expo + d0)
+    x = 2.0 * (1.0 - 2.0 * params.p_star) * np.asarray(t, float) / params.n
+    if d0 in (0.0, 1.0):
+        value = np.full_like(x, d0)
+    else:
+        with np.errstate(over="ignore"):
+            value = d0 / ((1.0 - d0) * np.exp(x) + d0)
     if np.ndim(t) == 0:
         return float(value)
     return value

@@ -134,7 +134,7 @@ class RuleSet:
             )
         if any(p <= 0 for p in probs):
             raise ValueError(f"probabilities must be positive: {probs}")
-        if not math.isclose(float(sum(map(float, probs))), 1.0, abs_tol=PROB_TOL):
+        if not math.isclose(math.fsum(map(float, probs)), 1.0, abs_tol=PROB_TOL):
             raise ValueError(f"probabilities must sum to 1: {probs}")
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "probs", probs)

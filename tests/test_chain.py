@@ -163,13 +163,11 @@ def test_row_stochasticity_random_specs():
 
 def _reference_row_targets(spec, s):
     # The per-state accumulation loop transition_row used before the
-    # per-spec table; new rows must equal it exactly.
-    weights = chain._lift_exact(spec.edge_weights)
-    probs = chain._lift_exact(spec.rules.probs)
-    if weights is None or probs is None:
-        weights = tuple(map(float, spec.edge_weights))
-        probs = tuple(map(float, spec.rules.probs))
-    acc: dict[int, object] = {}
+    # per-spec table, summing Fractions of the exact values it reads; new
+    # rows must equal it exactly.
+    weights = tuple(map(chain._exact_value, spec.edge_weights))
+    probs = tuple(map(chain._exact_value, spec.rules.probs))
+    acc: dict[int, Fraction] = {}
     for w, edge in zip(weights, spec.graph.edges):
         for k, pk in zip(spec.rules.ops, probs):
             wk = w * pk
@@ -185,7 +183,7 @@ def test_transition_row_matches_reference_accumulation():
     for _ in range(30):
         g = corpus.random_connected_graph(rng.randrange(2, 7), rng)
         ops = tuple(sorted(corpus.random_rule_set(rng)))
-        # Random floats do not lift to small fractions: the float path.
+        # Random floats do not lift to small fractions: their exact values.
         specs.append(
             chain.ChainSpec(
                 g,
@@ -214,6 +212,50 @@ def test_transition_row_matches_reference_accumulation():
         for s in range(1 << spec.graph.n):
             row = chain.transition_row(spec, s)
             assert row.targets == _reference_row_targets(spec, s)
+
+
+def test_float_values_give_the_rows_of_their_exact_fractions():
+    # A float that no small fraction rounds back to is taken at its exact
+    # binary value: the spec gives the rows and absorption probabilities,
+    # equal by ==, of the spec built from Fraction(v) of each value.
+    rng = random.Random(505)
+    pairs = []
+    for _ in range(12):
+        g = corpus.random_connected_graph(rng.randrange(2, 7), rng)
+        # AND and OR with any of the two projections: an absorbing chain.
+        extra = rng.sample((rules.OP_FIRST, 0x5), rng.randrange(3))
+        ops = tuple(sorted({rules.OP_AND, rules.OP_OR, *extra}))
+        probs = corpus.random_probs(len(ops), rng)
+        weights = corpus.random_probs(len(g.edges), rng)
+        fractions = (tuple(map(Fraction, probs)), tuple(map(Fraction, weights)))
+        pairs.append(
+            (
+                chain.ChainSpec(g, rules.RuleSet(ops, probs), weights),
+                chain.ChainSpec(g, rules.RuleSet(ops, fractions[0]), fractions[1]),
+            )
+        )
+    # A decimal that lifts (0.7 to 7/10) beside floats that do not.
+    g = graphs.make("cycle", 5)
+    mixed = (0.7, 0.2, 0.1000000000000001)
+    exact = (Fraction(7, 10), Fraction(1, 5), Fraction(mixed[2]))
+    ops = (rules.OP_AND, rules.OP_OR, rules.OP_FIRST)
+    weights = (0.1, 0.2, 0.3, 0.1, 0.30000000000000004)
+    exact_weights = weights[:4] + (Fraction(weights[4]),)
+    pairs.append(
+        (
+            chain.ChainSpec(g, rules.RuleSet(ops, mixed), weights),
+            chain.ChainSpec(g, rules.RuleSet(ops, exact), exact_weights),
+        )
+    )
+    for spec, fractions in pairs:
+        for s in range(1 << spec.graph.n):
+            row = chain.transition_row(spec, s)
+            assert row == chain.transition_row(fractions, s)
+            assert row.targets == _reference_row_targets(fractions, s)
+        start = min(chain.analyze(spec).transient_states)
+        assert chain.absorption_probabilities(
+            spec, start
+        ) == chain.absorption_probabilities(fractions, start)
 
 
 def test_chain_spec_table_keeps_equality_and_hash():

@@ -181,6 +181,16 @@ def test_meanfield_csv(capsys):
     assert lines[1].startswith("0,0.5,")
 
 
+def test_meanfield_density_one_past_the_float_range(capsys):
+    argv = ["meanfield", "--n", "10", "--p-star", "0", "--delta0", "1"]
+    rc = cli.main(argv + ["--horizon", "5000"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    lines = captured.out.strip().splitlines()
+    assert lines[0] == "t,density,kind"
+    assert {line.split(",")[1] for line in lines[1:]} == {"1.0"}
+
+
 def test_meanfield_refuses_a_step_past_one(capsys):
     argv = ["meanfield", "--n", "1", "--p-star", "1", "--delta0", "0.75"]
     rc = cli.main(argv + ["--horizon", "3"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,22 @@ def test_closed_form_symmetry_and_monotonicity():
     up = MeanFieldParams(100, 0.6, 0.4)
     values = [meanfield.closed_form(up, t) for t in range(0, 2000, 25)]
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def test_closed_form_limits_past_the_float_range():
+    # 2(1 - 2p)t/n passes 709 here, where exp overflows: the fixed points
+    # stay put and any other start density reaches its limit, warning-free.
+    t = np.array([0, 100, 5000])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert meanfield.closed_form(MeanFieldParams(10, 0.0, 1.0), 5000) == 1.0
+        assert meanfield.closed_form(MeanFieldParams(10, 0.0, 0.5), 5000) == 0.0
+        assert meanfield.closed_form(MeanFieldParams(10, 1.0, 0.0), 5000) == 0.0
+        assert meanfield.closed_form(MeanFieldParams(10, 1.0, 0.5), 5000) == 1.0
+        ones = meanfield.closed_form(MeanFieldParams(10, 0.0, 1.0), t)
+        assert ones.tolist() == [1.0, 1.0, 1.0]
+        traj = meanfield.closed_form_trajectory(MeanFieldParams(10, 0.0, 1.0), 5000)
+    assert set(traj.density) == {1.0}
 
 
 def test_recursion_fixed_points():
